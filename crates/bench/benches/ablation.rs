@@ -5,7 +5,7 @@
 
 use criterion::{black_box, Criterion};
 use ltf_bench::quick_criterion;
-use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_experiments::ablation::{ablation, table, AblationConfig};
 use ltf_experiments::workload::{gen_instance, PaperWorkload};
 
@@ -30,22 +30,20 @@ fn main() {
 
     let mut group = c.benchmark_group("ablation");
     type Tweak = fn(&mut AlgoConfig);
-    let variants: Vec<(&str, AlgoKind, Tweak)> = vec![
-        ("rltf_full", AlgoKind::Rltf, |_| {}),
-        ("rltf_no_rule1", AlgoKind::Rltf, |c| c.rule1 = false),
-        ("rltf_no_cluster", AlgoKind::Rltf, |c| {
-            c.cluster_ties = false
-        }),
-        ("ltf_full", AlgoKind::Ltf, |_| {}),
-        ("ltf_chunk1", AlgoKind::Ltf, |c| c.chunk_size = Some(1)),
+    let variants: Vec<(&str, &dyn Heuristic, Tweak)> = vec![
+        ("rltf_full", &Rltf, |_| {}),
+        ("rltf_no_rule1", &Rltf, |c| c.rule1 = false),
+        ("rltf_no_cluster", &Rltf, |c| c.cluster_ties = false),
+        ("ltf_full", &Ltf, |_| {}),
+        ("ltf_chunk1", &Ltf, |c| c.chunk_size = Some(1)),
     ];
-    for (name, kind, tweak) in variants {
+    for (name, h, tweak) in variants {
         let mut cfg = AlgoConfig::new(1, inst.period).seeded(7);
         tweak(&mut cfg);
         group.bench_function(name, |b| {
             b.iter(|| {
                 let prep = PreparedInstance::new(black_box(&inst.graph), black_box(&inst.platform));
-                kind.heuristic().schedule(&prep, black_box(&cfg)).ok()
+                h.schedule(&prep, black_box(&cfg)).ok()
             })
         });
     }

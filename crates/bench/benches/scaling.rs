@@ -5,7 +5,7 @@
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use ltf_bench::quick_criterion;
-use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_experiments::workload::{gen_instance, PaperWorkload};
 
 fn bench_axis<F: Fn(u64) -> PaperWorkload>(
@@ -18,16 +18,16 @@ fn bench_axis<F: Fn(u64) -> PaperWorkload>(
     for &param in params {
         let wl = make(param);
         let inst = gen_instance(&wl, 0xBEEF ^ param);
-        for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+        let algos: [(&str, &dyn Heuristic); 2] = [("LTF", &Ltf), ("R-LTF", &Rltf)];
+        for (label, h) in algos {
             let cfg = AlgoConfig::new(wl.epsilon, inst.period).seeded(1);
-            group.bench_with_input(BenchmarkId::new(kind.to_string(), param), &param, |b, _| {
+            group.bench_with_input(BenchmarkId::new(label, param), &param, |b, _| {
                 b.iter(|| {
                     // Lazy instance: the level caches (and, for R-LTF, the
-                    // reversal) are derived inside the timed region, as the
-                    // legacy free functions did.
+                    // reversal) are derived inside the timed region.
                     let prep =
                         PreparedInstance::new(black_box(&inst.graph), black_box(&inst.platform));
-                    kind.heuristic().schedule(&prep, black_box(&cfg)).ok()
+                    h.schedule(&prep, black_box(&cfg)).ok()
                 })
             });
         }

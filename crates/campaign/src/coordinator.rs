@@ -63,7 +63,8 @@ pub struct RunConfig {
     pub journal_dir: Option<PathBuf>,
     /// Worker executable (spawn mode); defaults to this very binary
     /// (`current_exe`), which carries the `campaign-worker` subcommand.
-    /// `ltf-experiments` works too — the subcommand is identical.
+    /// Any replacement must accept the same `campaign-worker` arguments
+    /// and stream the same lines.
     pub worker_bin: Option<PathBuf>,
     /// How many times a shard may be rerun after a crash before the
     /// campaign fails.

@@ -20,6 +20,7 @@
 use ltf_campaign::{run_campaign, serial_lines, Mode, RunConfig};
 use ltf_core::shard::Shard;
 use ltf_experiments::campaign::{slo_cells, slo_work_items, work_items, worker_main, CampaignSpec};
+use ltf_experiments::cli::take;
 use std::path::PathBuf;
 
 #[derive(Debug)]
@@ -38,20 +39,6 @@ struct Opts {
     verify: bool,
     shard: Shard,
     checkpoint: Option<PathBuf>,
-}
-
-/// Pull the next argument as `flag`'s value and parse it (same diagnostic
-/// shape as the `ltf-experiments` CLI: `flag: got 'X', expected <what>`).
-fn take<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let raw = args
-        .next()
-        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
 }
 
 fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
@@ -160,8 +147,8 @@ fn print_usage() {
          \x20                  repeatable — one in-flight shard per address)\n\
          \x20 --journal-dir D  per-shard checkpoint journals in D (crash resume)\n\
          \x20 --out FILE       write merged front lines to FILE (default stdout)\n\
-         \x20 --worker-bin P   worker executable (default: this binary;\n\
-         \x20                  target/release/ltf-experiments works too)\n\
+         \x20 --worker-bin P   worker executable (default: this binary); it is\n\
+         \x20                  run as `P campaign-worker --spec .. --shard K/N ..`\n\
          \x20 --threads N      worker threads per process (default 1)\n\
          \x20 --retries N      shard rerun budget after crashes (default 3)\n\
          \x20 --verify         also run serially and fail unless byte-identical\n\

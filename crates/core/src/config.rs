@@ -148,25 +148,6 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Which of the paper's two heuristics to run (used by the searches and
-/// the experiment harness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlgoKind {
-    /// LTF (§4.1): forward traversal, minimum-finish-time placement.
-    Ltf,
-    /// R-LTF (§4.2): bottom-up traversal, stage-count-first placement.
-    Rltf,
-}
-
-impl std::fmt::Display for AlgoKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AlgoKind::Ltf => write!(f, "LTF"),
-            AlgoKind::Rltf => write!(f, "R-LTF"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +178,5 @@ mod tests {
             available: 2,
         };
         assert!(e.to_string().contains('4'));
-        assert_eq!(AlgoKind::Ltf.to_string(), "LTF");
-        assert_eq!(AlgoKind::Rltf.to_string(), "R-LTF");
     }
 }

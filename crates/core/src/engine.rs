@@ -46,7 +46,7 @@
 //! `i` of `x` with source copies `J` of `y` over edge `e` records `i` as a
 //! forward source of each `(y, j)` on `e`, into a slot pre-laid in the
 //! original graph's in-edge order (the per-instance slot table comes from
-//! [`crate::api::PreparedInstance`]). Rollback pops the same entries, so
+//! [`crate::instance::PreparedInstance`]). Rollback pops the same entries, so
 //! after a complete run [`crate::convert::reversed_schedule`] takes the
 //! transposed relation ready-made instead of re-deriving it per solve.
 //! Copies commit in ascending order, so each slot's source list is sorted

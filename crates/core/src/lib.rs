@@ -50,32 +50,23 @@
 //! Pareto-front enumeration over (latency, period, ε, processors), with
 //! latency-cap / processor-budget variants and a cross-heuristic merge
 //! over a whole [`Solver`] registry.
-//!
-//! The pre-`Solver` free functions ([`ltf_schedule()`](ltf_schedule()),
-//! [`rltf_schedule`], [`schedule_with`], [`fault_free_reference`]) remain
-//! as deprecated shims; see the README's migration table.
 
 #[cfg(test)]
 mod alloc_probe;
-mod api;
 mod config;
 mod convert;
 mod driver;
 mod engine;
+mod instance;
 pub mod par;
 pub mod prio;
-mod reference;
 pub mod search;
 pub mod shard;
 pub mod solver;
 pub mod stats;
 
-#[allow(deprecated)]
-pub use crate::api::{
-    fault_free_reference, ltf_schedule, rltf_schedule, schedule_with, schedule_with_reference,
-    PreparedInstance,
-};
-pub use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
+pub use crate::config::{AlgoConfig, ScheduleError};
+pub use crate::instance::PreparedInstance;
 pub use crate::prio::LevelCache;
 pub use crate::solver::{
     Diagnostics, FaultFree, Heuristic, Ltf, Rltf, Solution, SolutionMetrics, Solver,

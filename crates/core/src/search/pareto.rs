@@ -57,7 +57,7 @@
 //! ```
 
 use super::{min_period_prepared, try_period, SearchOptions};
-use crate::api::PreparedInstance;
+use crate::instance::PreparedInstance;
 use crate::par;
 use crate::solver::{Heuristic, Solution, Solver};
 use ltf_graph::TaskGraph;

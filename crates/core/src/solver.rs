@@ -32,8 +32,11 @@
 //! assert!(sol.metrics.latency_upper_bound <= 140.0);
 //! ```
 
-use crate::api::{self, PreparedInstance};
-use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
+use crate::config::{AlgoConfig, ScheduleError};
+use crate::convert;
+use crate::driver::{self, Policy};
+use crate::engine::Engine;
+use crate::instance::PreparedInstance;
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::Schedule;
@@ -43,8 +46,8 @@ use serde::{Deserialize, Serialize};
 /// searches and the experiment harness need to drive an algorithm.
 ///
 /// Implementations must be deterministic in `(instance, cfg)`: the
-/// differential test suite holds every registered heuristic to
-/// reproducing its legacy entry point bit for bit.
+/// differential test suites hold LTF and R-LTF to a frozen reference
+/// engine bit for bit.
 pub trait Heuristic: Send + Sync {
     /// Canonical registry name (lower-case, kebab-case), e.g. `"rltf"`.
     /// [`Solver`] lookup is case-insensitive over this name and
@@ -81,7 +84,16 @@ impl Heuristic for Ltf {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
-        api::ltf_cached(inst, cfg)
+        let (g, p) = (inst.graph(), inst.platform());
+        let mut engine = Engine::new(g, p, cfg);
+        driver::run(&mut engine, cfg, Policy::Ltf, inst.levels_forward())?;
+        Ok(convert::forward_schedule(
+            engine,
+            g,
+            p,
+            cfg.epsilon,
+            cfg.period,
+        ))
     }
 }
 
@@ -106,7 +118,16 @@ impl Heuristic for Rltf {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
-        api::rltf_cached(inst, cfg)
+        let (g, p) = (inst.graph(), inst.platform());
+        let mut engine = Engine::new_reversed(inst.reversed(), g, inst.reversal(), p, cfg);
+        driver::run(&mut engine, cfg, Policy::Rltf, inst.levels_reversed())?;
+        Ok(convert::reversed_schedule(
+            engine,
+            g,
+            p,
+            cfg.epsilon,
+            cfg.period,
+        ))
     }
 }
 
@@ -134,27 +155,7 @@ impl Heuristic for FaultFree {
     ) -> Result<Schedule, ScheduleError> {
         let mut cfg = cfg.clone();
         cfg.epsilon = 0;
-        api::rltf_cached(inst, &cfg)
-    }
-}
-
-impl AlgoKind {
-    /// Registry name of the corresponding built-in heuristic.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgoKind::Ltf => "ltf",
-            AlgoKind::Rltf => "rltf",
-        }
-    }
-
-    /// The corresponding built-in [`Heuristic`] as a trait object (handy
-    /// for the objective-space searches and for migrating `AlgoKind`-based
-    /// call sites).
-    pub fn heuristic(self) -> &'static dyn Heuristic {
-        match self {
-            AlgoKind::Ltf => &Ltf,
-            AlgoKind::Rltf => &Rltf,
-        }
+        Rltf.schedule(inst, &cfg)
     }
 }
 
@@ -611,11 +612,5 @@ mod tests {
         assert!(json.contains("\"heuristic\":\"rltf\""));
         assert!(json.contains("\"latency_upper_bound\""));
         assert!(json.contains("\"procs_used\""));
-    }
-
-    #[test]
-    fn algokind_bridges() {
-        assert_eq!(AlgoKind::Ltf.name(), "ltf");
-        assert_eq!(AlgoKind::Rltf.heuristic().name(), "rltf");
     }
 }

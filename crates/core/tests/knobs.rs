@@ -1,6 +1,6 @@
 //! Behavioural tests for the algorithm configuration knobs.
 
-use ltf_core::{AlgoConfig, AlgoKind, Heuristic, Ltf, PreparedInstance, Rltf};
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_graph::generate::{layered, pipeline, LayeredConfig};
 use ltf_platform::Platform;
 use ltf_schedule::{failures, validate};
@@ -89,9 +89,8 @@ fn chunk_size_one_still_valid() {
     let (g, p) = workload();
     let mut cfg = AlgoConfig::new(1, 25.0).seeded(1);
     cfg.chunk_size = Some(1);
-    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
-        let s = kind
-            .heuristic()
+    for h in [&Ltf as &dyn Heuristic, &Rltf] {
+        let s = h
             .schedule(&PreparedInstance::new(&g, &p), &cfg)
             .expect("feasible");
         validate(&g, &p, &s).expect("valid");

@@ -3,7 +3,7 @@
 //! constraint, stay within communication budgets, and honour the
 //! ε-crash guarantee.
 
-use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_graph::generate::{layered, series_parallel, LayeredConfig, SeriesParallelConfig};
 use ltf_graph::TaskGraph;
 use ltf_platform::{HeterogeneousConfig, Platform};
@@ -80,18 +80,21 @@ fn arb_case() -> impl Strategy<Value = Case> {
         })
 }
 
+/// The paper's two heuristics.
+const PAPER: [&dyn Heuristic; 2] = [&Ltf, &Rltf];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn every_emitted_schedule_is_valid(case in arb_case()) {
-        for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+        for h in PAPER {
             let cfg = AlgoConfig::new(case.epsilon, case.period).seeded(case.seed);
-            let Ok(s) = kind.heuristic().schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
+            let Ok(s) = h.schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
                 continue;
             };
             if let Err(v) = validate(&case.graph, &case.platform, &s) {
-                prop_assert!(false, "{kind} produced invalid schedule: {v:?}");
+                prop_assert!(false, "{} produced invalid schedule: {v:?}", h.name());
             }
             prop_assert!(s.achieved_throughput() + 1e-9 >= 1.0 / case.period);
             // Hard communication bound: (ε+1)² per edge.
@@ -107,9 +110,9 @@ proptest! {
     fn epsilon_guarantee_holds_exhaustively(case in arb_case()) {
         // Bounded cost: only check ε ≤ 2 exhaustively.
         let eps = case.epsilon.min(2);
-        for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+        for h in PAPER {
             let cfg = AlgoConfig::new(eps, case.period).seeded(case.seed);
-            let Ok(s) = kind.heuristic().schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
+            let Ok(s) = h.schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
                 continue;
             };
             prop_assert!(
@@ -119,17 +122,17 @@ proptest! {
                     case.platform.num_procs(),
                     eps as usize
                 ),
-                "{kind} schedule loses an output under some {eps}-crash set"
+                "{} schedule loses an output under some {eps}-crash set", h.name()
             );
         }
     }
 
     #[test]
     fn determinism(case in arb_case()) {
-        for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+        for h in PAPER {
             let cfg = AlgoConfig::new(case.epsilon, case.period).seeded(case.seed);
-            let a = kind.heuristic().schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg);
-            let b = kind.heuristic().schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg);
+            let a = h.schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg);
+            let b = h.schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg);
             match (a, b) {
                 (Ok(x), Ok(y)) => {
                     prop_assert_eq!(x.num_stages(), y.num_stages());
@@ -150,7 +153,7 @@ proptest! {
         // guaranteed in general, but the latency bound must stay finite and
         // the copies distinct; check resource accounting consistency.
         let cfg = AlgoConfig::new(case.epsilon, case.period).seeded(case.seed);
-        let Ok(s) = AlgoKind::Rltf.heuristic().schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
+        let Ok(s) = Rltf.schedule(&PreparedInstance::new(&case.graph, &case.platform), &cfg) else {
             return Ok(());
         };
         let mut total_exec = 0.0f64;

@@ -119,7 +119,7 @@ fn random_workloads_validate_and_tolerate_crashes() {
 }
 
 #[test]
-fn fault_free_reference_has_no_replication() {
+fn fault_free_heuristic_has_no_replication() {
     let mut rng = StdRng::seed_from_u64(7);
     let gcfg = LayeredConfig {
         tasks: 20,

@@ -11,9 +11,9 @@
 //! * `LTF B=1` — chunk size 1 (classical one-task-at-a-time list
 //!   scheduling instead of the paper's `B = m` chunks).
 
-use crate::runner::parallel_map;
 use crate::workload::{gen_instance, PaperWorkload};
-use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_core::par::parallel_map;
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use serde::Serialize;
 
 /// Aggregated outcome of one variant.
@@ -64,49 +64,49 @@ impl Default for AblationConfig {
 
 struct Variant {
     label: &'static str,
-    kind: AlgoKind,
+    heuristic: &'static dyn Heuristic,
     tweak: fn(&mut AlgoConfig),
 }
 
 const VARIANTS: &[Variant] = &[
     Variant {
         label: "R-LTF",
-        kind: AlgoKind::Rltf,
+        heuristic: &Rltf,
         tweak: |_| {},
     },
     Variant {
         label: "R-LTF -rule1",
-        kind: AlgoKind::Rltf,
+        heuristic: &Rltf,
         tweak: |c| c.rule1 = false,
     },
     Variant {
         label: "R-LTF -rule2",
-        kind: AlgoKind::Rltf,
+        heuristic: &Rltf,
         tweak: |c| c.rule2 = false,
     },
     Variant {
         label: "R-LTF -oto",
-        kind: AlgoKind::Rltf,
+        heuristic: &Rltf,
         tweak: |c| c.use_one_to_one = false,
     },
     Variant {
         label: "R-LTF -cluster",
-        kind: AlgoKind::Rltf,
+        heuristic: &Rltf,
         tweak: |c| c.cluster_ties = false,
     },
     Variant {
         label: "LTF",
-        kind: AlgoKind::Ltf,
+        heuristic: &Ltf,
         tweak: |_| {},
     },
     Variant {
         label: "LTF -oto",
-        kind: AlgoKind::Ltf,
+        heuristic: &Ltf,
         tweak: |c| c.use_one_to_one = false,
     },
     Variant {
         label: "LTF B=1",
-        kind: AlgoKind::Ltf,
+        heuristic: &Ltf,
         tweak: |c| c.chunk_size = Some(1),
     },
 ];
@@ -123,23 +123,18 @@ pub fn ablation(cfg: &AblationConfig) -> Vec<AblationRecord> {
     VARIANTS
         .iter()
         .map(|variant| {
-            let outcomes = parallel_map(&seeds, cfg.threads, |s| {
+            let outcomes = parallel_map(&seeds, cfg.threads, |&s| {
                 let inst = gen_instance(&wl, s);
                 let mut acfg = AlgoConfig::new(cfg.epsilon, inst.period).seeded(s);
                 (variant.tweak)(&mut acfg);
                 let prep = PreparedInstance::new(&inst.graph, &inst.platform);
-                variant
-                    .kind
-                    .heuristic()
-                    .schedule(&prep, &acfg)
-                    .ok()
-                    .map(|sch| {
-                        (
-                            sch.num_stages() as f64,
-                            sch.latency_upper_bound(),
-                            sch.comm_count() as f64,
-                        )
-                    })
+                variant.heuristic.schedule(&prep, &acfg).ok().map(|sch| {
+                    (
+                        sch.num_stages() as f64,
+                        sch.latency_upper_bound(),
+                        sch.comm_count() as f64,
+                    )
+                })
             });
             let ok: Vec<_> = outcomes.iter().flatten().collect();
             let n = ok.len().max(1) as f64;

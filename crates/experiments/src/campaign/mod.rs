@@ -18,8 +18,8 @@
 //!
 //! The `ltf-campaign` binary builds the multi-process coordinator
 //! (spawned workers or remote LDJSON shards) on top of exactly these
-//! pieces; `ltf-experiments campaign-worker` exposes the shard runner as
-//! a subcommand. See `docs/campaign-spec.md` for the spec format,
+//! pieces; its `campaign-worker` subcommand exposes the shard runner.
+//! See `docs/campaign-spec.md` for the spec format,
 //! `docs/slo-campaign.md` for SLO campaigns, and `ARCHITECTURE.md` for
 //! where campaigns sit in the stack.
 

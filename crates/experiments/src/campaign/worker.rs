@@ -174,11 +174,10 @@ pub fn run_shard(
     Ok(emitted)
 }
 
-/// The shared worker-process entry point behind both `ltf-experiments
-/// campaign-worker` and `ltf-campaign campaign-worker`: load the spec,
-/// run the shard, and stream the wire form the coordinator consumes —
-/// one JSON line per [`ItemResult`], each flushed as soon as it
-/// completes, then the final
+/// The worker-process entry point behind `ltf-campaign campaign-worker`:
+/// load the spec, run the shard, and stream the wire form the coordinator
+/// consumes — one JSON line per [`ItemResult`], each flushed as soon as
+/// it completes, then the final
 /// `{"done":true,"shard":"K/N","items":N}` line that distinguishes a
 /// clean finish from a crash mid-shard.
 pub fn worker_main(

@@ -25,13 +25,15 @@
 //!
 //! The `ltf-experiments` binary exposes all of this on the command line;
 //! `cargo run -p ltf-experiments --release -- all` regenerates every
-//! figure of the paper, and `ltf-experiments campaign-worker` runs one
-//! shard of a campaign spec (see `docs/campaign-spec.md`).
+//! figure of the paper. One shard of a campaign spec runs through
+//! `ltf-campaign campaign-worker` (see `docs/campaign-spec.md`); [`cli`]
+//! holds the argument helpers the binaries share.
 
 pub mod ablation;
 pub mod ascii;
 pub mod campaign;
 pub mod checkpoint;
+pub mod cli;
 pub mod figures;
 pub mod pareto;
 pub mod runner;
@@ -41,6 +43,6 @@ pub mod workload;
 
 pub use crate::checkpoint::Checkpoint;
 pub use crate::figures::{panel, sweep, sweep_checkpointed, Panel, SweepConfig, SweepData};
-pub use crate::runner::{measure_instance, parallel_map, RunRecord};
+pub use crate::runner::{measure_instance, RunRecord};
 pub use crate::stats::{Figure, Series, SeriesPoint};
 pub use crate::workload::{gen_instance, gen_instance_on, Instance, PaperWorkload};

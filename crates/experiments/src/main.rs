@@ -13,7 +13,6 @@
 //!   fig4      granularity sweep, ε = 3 (panels a, b, c + feasibility)
 //!   solve     one paper-workload instance through the Solver registry
 //!   pareto    Pareto front over (latency, period, ε, processors)
-//!   campaign-worker  one shard of a declarative campaign spec
 //!   slo       stochastic failure campaign with SLO distribution report
 //!   scaling   runtime scaling vs v, m, ε (Theorem 1)
 //!   ablation  design ablations (Rule 1 / Rule 2 / one-to-one / chunk)
@@ -25,6 +24,7 @@ use ltf_baselines::full_solver;
 use ltf_core::{AlgoConfig, Solution};
 use ltf_experiments::ablation::{ablation, table as ablation_table, AblationConfig};
 use ltf_experiments::ascii;
+use ltf_experiments::cli::take;
 use ltf_experiments::figures::{feasibility, panel, sweep_checkpointed, Panel, SweepConfig};
 use ltf_experiments::scaling::{scaling_sweep_checkpointed, table as scaling_table, ScalingConfig};
 use ltf_experiments::stats::Figure;
@@ -55,22 +55,6 @@ struct Opts {
     checkpoint: Option<PathBuf>,
     spec: Option<PathBuf>,
     topology: Option<PathBuf>,
-    shard: ltf_core::shard::Shard,
-}
-
-/// Pull the next argument as `flag`'s value and parse it, turning both
-/// failure modes into one diagnostic shape: `flag: got 'X', expected
-/// <what>` / `flag: missing value, expected <what>`.
-fn take<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let raw = args
-        .next()
-        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
 }
 
 /// Parse a full argument list. Pure so the error paths are unit-testable:
@@ -103,7 +87,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
         checkpoint: None,
         spec: None,
         topology: None,
-        shard: ltf_core::shard::Shard::solo(),
     };
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
@@ -156,7 +139,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
                     "a topology spec path",
                 )?))
             }
-            "--shard" => opts.shard = take(args, "--shard", "K/N (shard K of N)")?,
             "--help" | "-h" => {
                 opts.command = "help".into();
                 return Ok(opts);
@@ -570,30 +552,6 @@ fn run_pareto_sweep(o: &Opts, popts: ltf_core::search::pareto::ParetoOptions) {
     }
 }
 
-/// Run one shard of a declarative campaign spec, streaming `ItemResult`
-/// JSON lines to stdout for the `ltf-campaign` coordinator (or a human)
-/// to merge. See `docs/campaign-spec.md`.
-fn run_campaign_worker(o: &Opts) {
-    let Some(spec) = &o.spec else {
-        eprintln!("campaign-worker requires --spec FILE\n");
-        std::process::exit(2);
-    };
-    let mut out = std::io::stdout().lock();
-    match ltf_experiments::campaign::worker_main(
-        spec,
-        o.shard,
-        o.threads,
-        o.checkpoint.as_deref(),
-        &mut out,
-    ) {
-        Ok(items) => eprintln!("campaign-worker: shard {} done, {items} item(s)", o.shard),
-        Err(e) => {
-            eprintln!("campaign-worker: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `slo`: run a whole SLO campaign (a spec with a `failure` block) in
 /// this process and render its report — JSON lines on stdout (CSV with
 /// `--csv`), both files under `--out`. Distributed runs go through
@@ -655,9 +613,6 @@ fn print_usage() {
          \x20 fig4       granularity sweep, ε = 3, c = 2\n\
          \x20 solve      one paper-workload instance through the Solver registry\n\
          \x20 pareto     Pareto front over (latency, period, ε, processors)\n\
-         \x20 campaign-worker  run one shard of a campaign spec (--spec,\n\
-         \x20            --shard K/N, --checkpoint; JSON lines on stdout;\n\
-         \x20            specs with a \"failure\" block run the SLO pipeline)\n\
          \x20 slo        run an SLO campaign serially (--spec with a\n\
          \x20            \"failure\" block; report on stdout + --out files)\n\
          \x20 scaling    runtime scaling over (v, m, ε)\n\
@@ -690,12 +645,11 @@ fn print_usage() {
          \x20 --checkpoint F   journal completed work items to F (JSON lines)\n\
          \x20                  and resume from it on restart; honoured by\n\
          \x20                  pareto --graph workload, fig3/fig4, scaling\n\
-         \x20                  and campaign-worker\n\
-         \x20 --spec F         campaign-worker: the campaign spec file\n\
+         \x20                  and slo\n\
+         \x20 --spec F         slo: the campaign spec file\n\
          \x20 --topology F     solve: route the generated platform through a\n\
          \x20                  topology spec file, e.g. {{\"shape\":{{\"Chain\":0.5}}}}\n\
          \x20                  (shapes: Chain, Star, Links; mode: Contended|Uniform)\n\
-         \x20 --shard K/N      campaign-worker: run shard K of N (default 0/1)\n\
          \x20 --help, -h       this message"
     );
 }
@@ -713,7 +667,6 @@ fn main() {
         "fig4" => run_granularity_figure(&o, 3, 2),
         "solve" => run_solve(&o),
         "pareto" => run_pareto(&o),
-        "campaign-worker" => run_campaign_worker(&o),
         "slo" => run_slo(&o),
         "scaling" => {
             let mut cfg = ScalingConfig {

@@ -1,6 +1,5 @@
-//! Parallel experiment execution (scoped worker pool, shared with the
-//! Pareto enumerator via [`ltf_core::par`]) and per-instance measurement
-//! records.
+//! Per-instance measurement records: one heuristic on one generated
+//! instance, timed, checked against random crash draws.
 
 use crate::workload::{gen_instance, Instance, PaperWorkload};
 use ltf_core::{AlgoConfig, FaultFree, Heuristic, Ltf, PreparedInstance, Rltf};
@@ -211,45 +210,9 @@ pub fn measure_instance(
     ]
 }
 
-/// Run `f` over every seed on a scoped worker pool (atomic work stealing
-/// over the seed indices); the output order matches `seeds`. Thin
-/// seed-flavoured wrapper over [`ltf_core::par::parallel_map`], which also
-/// propagates worker panics with their original payload (a panicking
-/// worker used to surface as the collector's unrelated
-/// `expect("all slots filled")`).
-pub fn parallel_map<T, F>(seeds: &[u64], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    ltf_core::par::parallel_map(seeds, threads, |s| f(*s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let seeds: Vec<u64> = (0..97).collect();
-        let out = parallel_map(&seeds, 8, |s| s * 2);
-        assert_eq!(out, seeds.iter().map(|s| s * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "measurement failed on seed 13")]
-    fn parallel_map_propagates_worker_panic() {
-        // Regression: the worker's panic dropped its sender, the collector
-        // then panicked with `expect("all slots filled")` and the root
-        // cause was lost. The original message must reach the caller.
-        let seeds: Vec<u64> = (0..32).collect();
-        parallel_map(&seeds, 4, |s| {
-            if s == 13 {
-                panic!("measurement failed on seed {s}");
-            }
-            s
-        });
-    }
 
     #[test]
     fn run_record_value_roundtrip() {

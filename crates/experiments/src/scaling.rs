@@ -7,9 +7,9 @@
 //! can be compared with the bound.
 
 use crate::checkpoint::Checkpoint;
-use crate::runner::parallel_map;
 use crate::workload::{gen_instance, PaperWorkload};
-use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_core::par::parallel_map;
+use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
@@ -83,11 +83,16 @@ impl Default for ScalingConfig {
     }
 }
 
+/// A swept heuristic with the label the reports and checkpoint keys print.
+type Algo = (&'static str, &'static dyn Heuristic);
+
+const ALGOS: [Algo; 2] = [("LTF", &Ltf), ("R-LTF", &Rltf)];
+
 fn measure_point(
     v: usize,
     m: usize,
     epsilon: u8,
-    kind: AlgoKind,
+    (label, h): Algo,
     cfg: &ScalingConfig,
 ) -> ScalingPoint {
     let wl = PaperWorkload {
@@ -105,14 +110,14 @@ fn measure_point(
             cfg.seed ^ ((v as u64) << 32) ^ ((m as u64) << 16) ^ ((epsilon as u64) << 8) ^ k as u64
         })
         .collect();
-    let results = parallel_map(&seeds, cfg.threads, |s| {
+    let results = parallel_map(&seeds, cfg.threads, |&s| {
         let inst = gen_instance(&wl, s);
         let acfg = AlgoConfig::new(epsilon, inst.period).seeded(s);
         // The prepared instance is lazy, so the timed region still covers
         // the level-cache/reversal derivations, as the bound requires.
         let prep = PreparedInstance::new(&inst.graph, &inst.platform);
         let t0 = Instant::now();
-        let ok = kind.heuristic().schedule(&prep, &acfg).is_ok();
+        let ok = h.schedule(&prep, &acfg).is_ok();
         (t0.elapsed().as_micros() as f64, ok)
     });
     let micros = results.iter().map(|(t, _)| *t).sum::<f64>() / results.len() as f64;
@@ -121,7 +126,7 @@ fn measure_point(
         v,
         m,
         epsilon,
-        algo: kind.to_string(),
+        algo: label.to_string(),
         micros,
         feasible,
         reps: cfg.reps,
@@ -146,27 +151,27 @@ pub fn scaling_sweep_checkpointed(
     // The key pins everything the point depends on (including the base
     // seed and the rep count): a journal shared across configurations
     // only ever replays records measured under identical parameters.
-    let keyed = |kind: AlgoKind, v: usize, m: usize, eps: u8| {
+    let keyed = |label: &str, v: usize, m: usize, eps: u8| {
         format!(
-            "scaling:{kind}:v={v}:m={m}:eps={eps}:reps={}:seed={:#x}",
+            "scaling:{label}:v={v}:m={m}:eps={eps}:reps={}:seed={:#x}",
             cfg.reps, cfg.seed
         )
     };
-    let mut combos: Vec<(AlgoKind, usize, usize, u8)> = Vec::new();
-    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+    let mut combos: Vec<(Algo, usize, usize, u8)> = Vec::new();
+    for algo in ALGOS {
         for &v in &cfg.task_counts {
-            combos.push((kind, v, 20, 1));
+            combos.push((algo, v, 20, 1));
         }
         for &m in &cfg.proc_counts {
-            combos.push((kind, 100, m, 1));
+            combos.push((algo, 100, m, 1));
         }
         for &eps in &cfg.epsilons {
-            combos.push((kind, 100, 20, eps));
+            combos.push((algo, 100, 20, eps));
         }
     }
     let expected: std::collections::HashSet<String> = combos
         .iter()
-        .map(|&(kind, v, m, eps)| keyed(kind, v, m, eps))
+        .map(|&((label, _), v, m, eps)| keyed(label, v, m, eps))
         .collect();
     let mut replayed: HashMap<String, ScalingPoint> = HashMap::new();
     let mut ckpt = match journal {
@@ -188,12 +193,12 @@ pub fn scaling_sweep_checkpointed(
         None => None,
     };
     let mut out = Vec::with_capacity(combos.len());
-    for (kind, v, m, eps) in combos {
-        let key = keyed(kind, v, m, eps);
+    for (algo, v, m, eps) in combos {
+        let key = keyed(algo.0, v, m, eps);
         let pt = match replayed.remove(&key) {
             Some(pt) => pt,
             None => {
-                let pt = measure_point(v, m, eps, kind, cfg);
+                let pt = measure_point(v, m, eps, algo, cfg);
                 if let Some(c) = ckpt.as_mut() {
                     c.record(&key, &pt)?;
                 }

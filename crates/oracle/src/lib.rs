@@ -1,24 +1,25 @@
-//! The frozen snapshot-based reference implementation.
+//! The frozen snapshot-based reference implementation of LTF and R-LTF,
+//! kept outside the shipped library as a test oracle.
 //!
-//! This module is a deliberate copy of the pre-arena placement engine: the
+//! This crate is a deliberate copy of the pre-arena placement engine: the
 //! parallel-`Vec` engine layout, the clone-based R-LTF speculation (three
 //! whole-`Engine` snapshots per task) and the batch reversal transposition
 //! in the schedule conversion. It exists for one purpose: the differential
-//! suite (`tests/differential_incremental.rs`) pins the production path —
-//! struct-of-arrays state, scratch arenas, undo-journal speculation and the
-//! incrementally maintained reversal — against this independent control
-//! flow, schedule for schedule, bit for bit.
+//! suites (`tests/differential_incremental.rs` and friends) pin the
+//! production path — struct-of-arrays state, scratch arenas, undo-journal
+//! speculation and the incrementally maintained reversal — against this
+//! independent control flow, schedule for schedule, bit for bit.
 //!
 //! Because its value *is* its independence, nothing here should be
 //! "improved" towards the production engine: it shares only the layers
 //! whose equivalence is pinned elsewhere (the overlay probe and interval
 //! index by the `ltf-schedule` property tests, the priority tracker by
-//! `prio`'s own tests, and the ready tracker, which is trivially shared).
-//! It allocates freely and clones the engine per task — it is a test
-//! oracle, not a production code path.
+//! `ltf_core::prio`'s own tests, and the ready tracker, which is trivially
+//! shared). It allocates freely and clones the engine per task — it is a
+//! test oracle, not a production code path.
 
-use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
-use crate::prio::{LevelCache, PrioTracker};
+use ltf_core::prio::{LevelCache, PrioTracker};
+use ltf_core::{AlgoConfig, ScheduleError};
 use ltf_graph::traversal::ReadyTracker;
 use ltf_graph::{EdgeId, TaskGraph, TaskId};
 use ltf_platform::{Platform, ProcId};
@@ -29,29 +30,23 @@ use ltf_schedule::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Schedule through the reference path. Must produce schedules identical
-/// to the production heuristics on every input.
-pub(crate) fn schedule(
-    kind: AlgoKind,
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    match kind {
-        AlgoKind::Ltf => {
-            let cache = LevelCache::compute(g, p);
-            let mut engine = Engine::new(g, p, cfg);
-            run(&mut engine, cfg, Policy::Ltf, &cache)?;
-            Ok(forward_schedule(engine, g, p, cfg.epsilon, cfg.period))
-        }
-        AlgoKind::Rltf => {
-            let rev = g.reversed();
-            let cache = LevelCache::compute(&rev, p);
-            let mut engine = Engine::new(&rev, p, cfg);
-            run(&mut engine, cfg, Policy::Rltf, &cache)?;
-            Ok(reversed_schedule(engine, g, p, cfg.epsilon, cfg.period))
-        }
-    }
+/// LTF through the reference path. Must produce schedules identical to
+/// [`ltf_core::Ltf`] on every input.
+pub fn ltf(g: &TaskGraph, p: &Platform, cfg: &AlgoConfig) -> Result<Schedule, ScheduleError> {
+    let cache = LevelCache::compute(g, p);
+    let mut engine = Engine::new(g, p, cfg);
+    run(&mut engine, cfg, Policy::Ltf, &cache)?;
+    Ok(forward_schedule(engine, g, p, cfg.epsilon, cfg.period))
+}
+
+/// R-LTF through the reference path. Must produce schedules identical to
+/// [`ltf_core::Rltf`] on every input.
+pub fn rltf(g: &TaskGraph, p: &Platform, cfg: &AlgoConfig) -> Result<Schedule, ScheduleError> {
+    let rev = g.reversed();
+    let cache = LevelCache::compute(&rev, p);
+    let mut engine = Engine::new(&rev, p, cfg);
+    run(&mut engine, cfg, Policy::Rltf, &cache)?;
+    Ok(reversed_schedule(engine, g, p, cfg.epsilon, cfg.period))
 }
 
 // ---------------------------------------------------------------------------

@@ -64,6 +64,20 @@ fn truncated_line() {
 }
 
 #[test]
+fn deeply_nested_line() {
+    // Regression: the recursive JSON reader overflowed the stack and
+    // aborted the daemon. Past the nesting cap it is a parse error.
+    let mut s = service();
+    let line = "[".repeat(50_000);
+    assert_error_then_recovery(
+        &mut s,
+        &line,
+        "parse",
+        "nesting deeper than 128 levels at byte 128",
+    );
+}
+
+#[test]
 fn unknown_field() {
     let mut s = service();
     let line = VALID.replace(r#""id":100"#, r#""id":1,"priority":"high""#);

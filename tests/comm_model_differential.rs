@@ -8,7 +8,7 @@
 //! * **Uniform is bit-identical to the pre-refactor code.** A topology
 //!   lowered with `CommMode::Uniform` must schedule exactly like the same
 //!   topology eagerly flattened by `into_platform` and run through the
-//!   frozen `schedule_with_reference` oracle — same hosts, bit-identical
+//!   frozen `ltf-oracle` engine — same hosts, bit-identical
 //!   times, same stages, same message set, or the same error. Checked on
 //!   the paper's worked examples and on seeded layered graphs at
 //!   ε ∈ {0, 1, 3}.
@@ -21,18 +21,31 @@
 //!   out — so the suite pins fixed seeds; the per-probe monotonicity that
 //!   *is* a theorem is unit-tested in `ltf-core`.)
 
-// The free-function shims stay the entry point here on purpose: they are
-// pinned bit-identical to the Solver path by `solver_differential.rs`, and
-// they keep this suite's call sites symmetric with the frozen oracle's.
-#![allow(deprecated)]
-
-use ltf_sched::core::{schedule_with, schedule_with_reference, AlgoConfig, AlgoKind};
+use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError};
 use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, layered, LayeredConfig};
 use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::{CommMode, Platform, Topology};
 use ltf_sched::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A frozen reference entry point from `ltf-oracle`.
+type Oracle = fn(&TaskGraph, &Platform, &AlgoConfig) -> Result<Schedule, ScheduleError>;
+
+/// The paper's two heuristics: label, production path, frozen oracle.
+const PAPER: [(&str, &dyn Heuristic, Oracle); 2] = [
+    ("Ltf", &Ltf, ltf_oracle::ltf),
+    ("Rltf", &Rltf, ltf_oracle::rltf),
+];
+
+fn solve(
+    h: &dyn Heuristic,
+    g: &TaskGraph,
+    p: &Platform,
+    cfg: &AlgoConfig,
+) -> Result<Schedule, ScheduleError> {
+    h.schedule(&PreparedInstance::new(g, p), cfg)
+}
 
 fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
@@ -67,14 +80,14 @@ fn pin_uniform(mk: &dyn Fn() -> Topology, g: &TaskGraph, cfg: &AlgoConfig, ctx: 
             );
         }
     }
-    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
-        let prod = schedule_with(kind, g, &routed, cfg);
-        let oracle = schedule_with_reference(kind, g, &flat, cfg);
+    for (label, h, oracle) in PAPER {
+        let prod = solve(h, g, &routed, cfg);
+        let oracle = oracle(g, &flat, cfg);
         match (prod, oracle) {
-            (Ok(a), Ok(b)) => assert_identical(&a, &b, &format!("{ctx}/{kind:?}")),
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{ctx}/{kind:?}: error kind"),
+            (Ok(a), Ok(b)) => assert_identical(&a, &b, &format!("{ctx}/{label}")),
+            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{ctx}/{label}: error kind"),
             (a, b) => panic!(
-                "{ctx}/{kind:?}: feasibility disagreement (production {:?}, reference {:?})",
+                "{ctx}/{label}: feasibility disagreement (production {:?}, reference {:?})",
                 a.map(|s| s.num_stages()),
                 b.map(|s| s.num_stages())
             ),
@@ -92,15 +105,15 @@ fn pin_uniform(mk: &dyn Fn() -> Topology, g: &TaskGraph, cfg: &AlgoConfig, ctx: 
 ///
 /// Returns `(both_feasible, contended_beat_uniform)`.
 fn check_monotone(
-    kind: AlgoKind,
+    h: &dyn Heuristic,
     g: &TaskGraph,
     uniform: &Platform,
     contended: &Platform,
     cfg: &AlgoConfig,
     ctx: &str,
 ) -> (bool, bool) {
-    let u = schedule_with(kind, g, uniform, cfg);
-    let c = schedule_with(kind, g, contended, cfg);
+    let u = solve(h, g, uniform, cfg);
+    let c = solve(h, g, contended, cfg);
     match (&u, &c) {
         (Err(_), Ok(_)) => panic!("{ctx}: contended feasible where uniform failed"),
         (Ok(us), Ok(cs)) => (
@@ -217,10 +230,9 @@ fn contended_never_beats_uniform_on_pinned_instances() {
                 let base = g.total_exec() * (eps as f64 + 1.0) / 4.0;
                 for factor in [1.2, 2.5] {
                     let cfg = AlgoConfig::new(eps, base * factor).seeded(seed);
-                    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
-                        let ctx = format!("{name} seed={seed} eps={eps} f={factor} {kind:?}");
-                        let (both, beat) =
-                            check_monotone(kind, &g, &uniform, &contended, &cfg, &ctx);
+                    for (label, h, _) in PAPER {
+                        let ctx = format!("{name} seed={seed} eps={eps} f={factor} {label}");
+                        let (both, beat) = check_monotone(h, &g, &uniform, &contended, &cfg, &ctx);
                         if both {
                             compared += 1;
                         }
@@ -254,8 +266,8 @@ fn contended_changes_schedule_and_lowers_link_utilization() {
     let g = layered(&LayeredConfig::with_tasks(20 + 6 * 4), &mut rng);
     let cfg = AlgoConfig::new(1, g.total_exec() * 2.0 / 4.0 * 1.2).seeded(4);
 
-    let us = schedule_with(AlgoKind::Ltf, &g, &uniform, &cfg).expect("uniform feasible");
-    let cs = schedule_with(AlgoKind::Ltf, &g, &contended, &cfg).expect("contended feasible");
+    let us = solve(&Ltf, &g, &uniform, &cfg).expect("uniform feasible");
+    let cs = solve(&Ltf, &g, &contended, &cfg).expect("contended feasible");
 
     // Matrix platforms have no link identity to measure against…
     assert_eq!(us.max_link_utilization(&uniform), None);
@@ -289,10 +301,9 @@ fn contended_worked_examples_stay_monotone() {
             for eps in [0u8, 1] {
                 for period in [7.0, 12.0, 25.0, 40.0] {
                     let cfg = AlgoConfig::new(eps, period);
-                    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
-                        let ctx = format!("{name}/{gname} eps={eps} T={period} {kind:?}");
-                        let (both, beat) =
-                            check_monotone(kind, g, &uniform, &contended, &cfg, &ctx);
+                    for (label, h, _) in PAPER {
+                        let ctx = format!("{name}/{gname} eps={eps} T={period} {label}");
+                        let (both, beat) = check_monotone(h, g, &uniform, &contended, &cfg, &ctx);
                         if both {
                             compared += 1;
                         }

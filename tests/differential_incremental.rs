@@ -1,9 +1,9 @@
 //! Differential tests for the incremental placement engine.
 //!
 //! The production path compares R-LTF's task-level modes through an undo
-//! journal (rollback + replay); the retained reference path re-runs the
-//! pre-incremental speculation control flow built on whole-engine
-//! snapshots. Over seeded random instances spanning both heuristics,
+//! journal (rollback + replay); the frozen reference engine of `ltf-oracle`
+//! re-runs the pre-incremental speculation control flow built on
+//! whole-engine snapshots. Over seeded random instances spanning both heuristics,
 //! replication degrees and graph families, the two paths must produce
 //! *identical* schedules — same hosts, bit-identical times, same stages,
 //! same source structure, same message set — or fail with the same error.
@@ -16,17 +16,18 @@
 //! `ltf-core/tests/prio_props.rs`) and by the debug assertion in
 //! `Schedule::with_stages`, which is active throughout this suite.
 
-// This suite deliberately drives the deprecated free-function shims: they
-// must stay bit-identical to the Solver path until they are removed.
-#![allow(deprecated)]
-
-use ltf_sched::core::{
-    schedule_with, schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance,
-};
+use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError};
 use ltf_sched::experiments::workload::{gen_instance, PaperWorkload};
 use ltf_sched::graph::generate::{series_parallel, SeriesParallelConfig};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::Schedule;
+
+/// A frozen reference entry point from `ltf-oracle`.
+type Oracle =
+    fn(&ltf_sched::graph::TaskGraph, &Platform, &AlgoConfig) -> Result<Schedule, ScheduleError>;
+
+/// The paper's two heuristics, each paired with its frozen oracle.
+const PAPER: [(&dyn Heuristic, Oracle); 2] = [(&Ltf, ltf_oracle::ltf), (&Rltf, ltf_oracle::rltf)];
 
 fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
@@ -43,14 +44,15 @@ fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
 }
 
 fn compare_paths(
-    kind: AlgoKind,
+    (h, oracle): (&dyn Heuristic, Oracle),
     g: &ltf_sched::graph::TaskGraph,
     p: &Platform,
     cfg: &AlgoConfig,
     ctx: &str,
 ) {
-    let inc = schedule_with(kind, g, p, cfg);
-    let refr = schedule_with_reference(kind, g, p, cfg);
+    let ctx = &format!("{ctx} {}", h.name());
+    let inc = h.schedule(&PreparedInstance::new(g, p), cfg);
+    let refr = oracle(g, p, cfg);
     match (inc, refr) {
         (Ok(a), Ok(b)) => assert_identical(&a, &b, ctx),
         (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{ctx}: error kind"),
@@ -73,10 +75,10 @@ fn incremental_matches_reference_on_paper_workloads() {
                 ..Default::default()
             };
             let inst = gen_instance(&wl, 0xD1FF ^ (seed << 8) ^ ((eps as u64) << 32));
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for algo in PAPER {
                 let cfg = AlgoConfig::new(eps, inst.period).seeded(seed);
-                let ctx = format!("{kind} eps={eps} seed={seed}");
-                compare_paths(kind, &inst.graph, &inst.platform, &cfg, &ctx);
+                let ctx = format!("eps={eps} seed={seed}");
+                compare_paths(algo, &inst.graph, &inst.platform, &cfg, &ctx);
             }
         }
     }
@@ -92,10 +94,10 @@ fn incremental_matches_reference_on_series_parallel() {
         // Generous period: total work over a third of the machines.
         let period = g.total_exec() / 4.0;
         for eps in [0u8, 1] {
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for algo in PAPER {
                 let cfg = AlgoConfig::new(eps, period).seeded(seed);
-                let ctx = format!("SP {kind} eps={eps} seed={seed}");
-                compare_paths(kind, &g, &p, &cfg, &ctx);
+                let ctx = format!("SP eps={eps} seed={seed}");
+                compare_paths(algo, &g, &p, &cfg, &ctx);
             }
         }
     }
@@ -114,10 +116,10 @@ fn incremental_matches_reference_on_worked_examples() {
     let p1 = Platform::fig1_platform();
     for eps in [0u8, 1] {
         for period in [20.0, 30.0, 60.0] {
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for algo in PAPER {
                 let cfg = AlgoConfig::new(eps, period).seeded(7);
-                let ctx = format!("fig1 {kind} eps={eps} T=1/{period}");
-                compare_paths(kind, &g1, &p1, &cfg, &ctx);
+                let ctx = format!("fig1 eps={eps} T=1/{period}");
+                compare_paths(algo, &g1, &p1, &cfg, &ctx);
             }
         }
     }
@@ -126,10 +128,10 @@ fn incremental_matches_reference_on_worked_examples() {
     let p2 = Platform::homogeneous(8, 1.0, 1.0);
     for eps in [0u8, 1] {
         for period in [20.0, 40.0] {
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for algo in PAPER {
                 let cfg = AlgoConfig::new(eps, period).seeded(7);
-                let ctx = format!("fig2v {kind} eps={eps} T=1/{period}");
-                compare_paths(kind, &g2, &p2, &cfg, &ctx);
+                let ctx = format!("fig2v eps={eps} T=1/{period}");
+                compare_paths(algo, &g2, &p2, &cfg, &ctx);
             }
         }
     }
@@ -150,10 +152,10 @@ fn incremental_matches_reference_on_layered_graphs() {
             let p = Platform::homogeneous(16, 1.0, 0.005);
             // Scale headroom with replication: each task runs ε+1 times.
             let period = g.total_exec() * (eps as f64 + 1.0) / 8.0;
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for algo in PAPER {
                 let cfg = AlgoConfig::new(eps, period).seeded(seed);
-                let ctx = format!("layered {kind} eps={eps} seed={seed}");
-                compare_paths(kind, &g, &p, &cfg, &ctx);
+                let ctx = format!("layered eps={eps} seed={seed}");
+                compare_paths(algo, &g, &p, &cfg, &ctx);
             }
         }
     }
@@ -169,16 +171,16 @@ fn incremental_matches_reference_on_infeasible_periods() {
         ..Default::default()
     };
     let inst = gen_instance(&wl, 0xBAD);
-    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+    for algo in PAPER {
         // A period far below the workload's calibrated one is infeasible.
         let cfg = AlgoConfig::new(1, inst.period / 50.0).seeded(3);
-        let ctx = format!("infeasible {kind}");
-        compare_paths(kind, &inst.graph, &inst.platform, &cfg, &ctx);
+        compare_paths(algo, &inst.graph, &inst.platform, &cfg, "infeasible");
     }
 }
 
-/// The search-oriented prepared instance must be a pure cache: scheduling
-/// through it equals the one-shot entry points.
+/// The search-oriented prepared instance must be a pure cache: one
+/// instance shared across heuristics and probed periods schedules exactly
+/// like the oracle's one-shot derivations.
 #[test]
 fn prepared_instance_matches_one_shot() {
     let wl = PaperWorkload {
@@ -189,14 +191,16 @@ fn prepared_instance_matches_one_shot() {
     };
     let inst = gen_instance(&wl, 0xCAC4E);
     let prep = PreparedInstance::new(&inst.graph, &inst.platform);
-    for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+    for (h, oracle) in PAPER {
         // Several periods, as the binary searches would probe.
         for factor in [1.0, 1.5, 3.0] {
             let cfg = AlgoConfig::new(1, inst.period * factor).seeded(9);
-            let a = prep.schedule(kind, &cfg);
-            let b = schedule_with(kind, &inst.graph, &inst.platform, &cfg);
+            let a = h.schedule(&prep, &cfg);
+            let b = oracle(&inst.graph, &inst.platform, &cfg);
             match (a, b) {
-                (Ok(a), Ok(b)) => assert_identical(&a, &b, &format!("prepared {kind} x{factor}")),
+                (Ok(a), Ok(b)) => {
+                    assert_identical(&a, &b, &format!("prepared {} x{factor}", h.name()))
+                }
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb),
                 _ => panic!("prepared-instance feasibility disagreement"),
             }

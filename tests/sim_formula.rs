@@ -2,7 +2,7 @@
 //! `L = (2S − 1)/T`, the effective-stage failure analysis, and the two
 //! simulator disciplines.
 
-use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_sched::graph::generate::{layered, LayeredConfig};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{failures, CrashSet};
@@ -28,12 +28,9 @@ fn synchronous_simulation_equals_effective_latency() {
     let p = Platform::homogeneous(m, 1.0, 0.2);
     for seed in 0..4u64 {
         let g = workload(seed);
-        for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+        for h in [&Ltf as &dyn Heuristic, &Rltf] {
             let cfg = AlgoConfig::new(1, 15.0).seeded(seed);
-            let Ok(s) = kind
-                .heuristic()
-                .schedule(&PreparedInstance::new(&g, &p), &cfg)
-            else {
+            let Ok(s) = h.schedule(&PreparedInstance::new(&g, &p), &cfg) else {
                 continue;
             };
             // No crash: simulator latency = analytic effective latency.
@@ -68,10 +65,7 @@ fn asap_never_slower_than_synchronous() {
     for seed in 0..4u64 {
         let g = workload(seed + 10);
         let cfg = AlgoConfig::new(1, 15.0).seeded(seed);
-        let Ok(s) = AlgoKind::Rltf
-            .heuristic()
-            .schedule(&PreparedInstance::new(&g, &p), &cfg)
-        else {
+        let Ok(s) = Rltf.schedule(&PreparedInstance::new(&g, &p), &cfg) else {
             continue;
         };
         let items = 12;
@@ -93,8 +87,7 @@ fn asap_sustains_the_period() {
     let p = Platform::homogeneous(m, 1.0, 0.2);
     let g = workload(42);
     let cfg = AlgoConfig::new(1, 15.0).seeded(0);
-    let s = AlgoKind::Rltf
-        .heuristic()
+    let s = Rltf
         .schedule(&PreparedInstance::new(&g, &p), &cfg)
         .expect("feasible");
     let run = asap(&g, &s, &AsapConfig::new(60));
@@ -113,8 +106,7 @@ fn asap_single_crash_from_start_loses_nothing() {
     let p = Platform::homogeneous(m, 1.0, 0.2);
     let g = workload(43);
     let cfg = AlgoConfig::new(1, 15.0).seeded(0);
-    let s = AlgoKind::Rltf
-        .heuristic()
+    let s = Rltf
         .schedule(&PreparedInstance::new(&g, &p), &cfg)
         .expect("feasible");
     for crash in failures::all_crash_sets(m, 1) {

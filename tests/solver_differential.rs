@@ -1,22 +1,19 @@
-//! Differential tests for the `Solver`/`Heuristic` API redesign: every
-//! registered heuristic, dispatched by name through the registry, must
-//! reproduce its legacy entry point bit for bit — same hosts, identical
-//! times, same stages, same source structure, same message set — on the
-//! paper's worked examples and on random layered graphs.
+//! Differential tests for `Solver` dispatch: every registered heuristic,
+//! dispatched by name through one registry (and so through one shared
+//! `PreparedInstance`), must reproduce an independent entry point bit for
+//! bit — same hosts, identical times, same stages, same source structure,
+//! same message set — on the paper's worked examples and on random layered
+//! graphs.
 //!
-//! The strategies whose legacy entry points return strategy-specific
-//! outcome types (HEFT/ETF makespan schedules, the task-/data-parallel
-//! outcomes) are compared field by field against those outcomes instead.
-
-// The legacy side of every comparison goes through the deprecated shims
-// on purpose.
-#![allow(deprecated)]
+//! The paper trio is held to the frozen reference engine of `ltf-oracle`
+//! (the fault-free reference is oracle R-LTF at ε = 0). The baselines whose
+//! legacy entry points return strategy-specific outcome types (HEFT/ETF
+//! makespan schedules, the task-/data-parallel outcomes) are compared field
+//! by field against those outcomes instead.
 
 use ltf_sched::baselines::{self, full_solver};
 use ltf_sched::core::search::{self, SearchOptions};
-use ltf_sched::core::{
-    fault_free_reference, ltf_schedule, rltf_schedule, AlgoConfig, Rltf, ScheduleError, Solver,
-};
+use ltf_sched::core::{AlgoConfig, Rltf, ScheduleError, Solver};
 use ltf_sched::experiments::workload::{gen_instance, PaperWorkload};
 use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, fig2_workflow_variant};
 use ltf_sched::graph::TaskGraph;
@@ -37,15 +34,15 @@ fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
 }
 
-/// Solver dispatch vs legacy free function, both sides of feasibility.
+/// Solver dispatch vs the frozen oracle, both sides of feasibility.
 fn compare_core(
     solver: &Solver<'_>,
     name: &str,
     cfg: &AlgoConfig,
-    legacy: Result<Schedule, ScheduleError>,
+    oracle: Result<Schedule, ScheduleError>,
     ctx: &str,
 ) {
-    match (solver.solve(name, cfg), legacy) {
+    match (solver.solve(name, cfg), oracle) {
         (Ok(sol), Ok(b)) => {
             assert_eq!(sol.heuristic, name, "{ctx}: canonical name");
             assert_identical(&sol.schedule, &b, ctx);
@@ -54,7 +51,7 @@ fn compare_core(
         }
         (Err(d), Err(e)) => assert_eq!(d.error, e, "{ctx}: error kind"),
         (a, b) => panic!(
-            "{ctx}: feasibility disagreement (solver {:?}, legacy {:?})",
+            "{ctx}: feasibility disagreement (solver {:?}, oracle {:?})",
             a.map(|s| s.metrics.stages),
             b.map(|s| s.num_stages())
         ),
@@ -62,36 +59,35 @@ fn compare_core(
 }
 
 /// All seven-plus strategies on one instance at (ε, Δ) — the paper trio
-/// against their legacy free functions, the baselines against their
-/// legacy outcome types.
+/// against the frozen oracle, the baselines against their legacy outcome
+/// types.
 fn compare_all(g: &TaskGraph, p: &Platform, epsilon: u8, period: f64, seed: u64, ctx: &str) {
     let solver = full_solver(g, p);
     let cfg = AlgoConfig::new(epsilon, period).seeded(seed);
+    // The fault-free reference and the single-copy baselines run at ε = 0.
+    let cfg0 = AlgoConfig::new(0, period).seeded(seed);
 
     compare_core(
         &solver,
         "ltf",
         &cfg,
-        ltf_schedule(g, p, &cfg),
+        ltf_oracle::ltf(g, p, &cfg),
         &format!("{ctx}/ltf"),
     );
     compare_core(
         &solver,
         "rltf",
         &cfg,
-        rltf_schedule(g, p, &cfg),
+        ltf_oracle::rltf(g, p, &cfg),
         &format!("{ctx}/rltf"),
     );
     compare_core(
         &solver,
         "fault-free",
         &cfg,
-        fault_free_reference(g, p, period, seed),
+        ltf_oracle::rltf(g, p, &cfg0),
         &format!("{ctx}/fault-free"),
     );
-
-    // Baselines: single-copy strategies run at ε = 0.
-    let cfg0 = AlgoConfig::new(0, period).seeded(seed);
 
     if let Ok(sol) = solver.solve("throughput-first", &cfg0) {
         let legacy = baselines::throughput_first(g, p, period).expect("legacy agrees feasible");
@@ -173,7 +169,7 @@ fn solver_matches_legacy_on_worked_examples() {
 
     // Fig. 2: reconstruction and variant, m = 8 and 10 (the period where
     // R-LTF fails on the reconstruction with m = 8 — the diagnostics and
-    // the legacy error must agree).
+    // the oracle's error must agree).
     for (label, g) in [
         ("fig2", fig2_workflow()),
         ("fig2v", fig2_workflow_variant()),
@@ -217,20 +213,13 @@ fn searches_accept_any_heuristic_including_baselines() {
     let p = Platform::fig1_platform();
     let opts = SearchOptions::default();
 
-    // R-LTF through the new signature equals the deprecated shim.
-    let new = search::min_period(&g, &p, &Rltf, &opts).expect("feasible");
-    let old = {
-        let old_opts = search::MinPeriodOptions::default();
-        search::min_period_kind(&g, &p, &old_opts).expect("feasible")
-    };
-    assert_eq!(new.0, old.0, "min_period period");
-    assert_identical(&new.1, &old.1, "min_period witness");
+    let (t_rltf, _) = search::min_period(&g, &p, &Rltf, &opts).expect("feasible");
 
     // A baseline as the search oracle: throughput-first (ε = 0).
     let (t_tf, sched) = search::min_period(&g, &p, &baselines::ThroughputFirst, &opts)
         .expect("throughput-first brackets a period");
     validate(&g, &p, &sched).expect("valid");
-    assert!(t_tf >= new.0 - 1e-9, "greedy cannot beat R-LTF's period");
+    assert!(t_tf >= t_rltf - 1e-9, "greedy cannot beat R-LTF's period");
 
     // HEFT as the min-processors oracle. The witness schedule lives on
     // the winning platform *prefix*, so validate against that.

@@ -1,7 +1,7 @@
 //! Structural validity and fault-tolerance guarantees across graph shapes,
 //! replication degrees, and both heuristics.
 
-use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
+use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_sched::graph::generate::{
     fork_join, in_tree, layered, out_tree, pipeline, series_parallel, LayeredConfig,
     SeriesParallelConfig,
@@ -54,16 +54,13 @@ fn schedules_validate_across_shapes_and_epsilons() {
     let mut checked = 0;
     for (name, g) in shapes(&mut rng) {
         for eps in [0u8, 1, 2] {
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for h in [&Ltf as &dyn Heuristic, &Rltf] {
                 let cfg = AlgoConfig::new(eps, period).seeded(3);
-                let Ok(s) = kind
-                    .heuristic()
-                    .schedule(&PreparedInstance::new(&g, &p), &cfg)
-                else {
+                let Ok(s) = h.schedule(&PreparedInstance::new(&g, &p), &cfg) else {
                     continue; // infeasibility is legitimate; validity is not optional
                 };
                 validate(&g, &p, &s)
-                    .unwrap_or_else(|v| panic!("{kind} on {name} (ε={eps}) invalid: {v:?}"));
+                    .unwrap_or_else(|v| panic!("{} on {name} (ε={eps}) invalid: {v:?}", h.name()));
                 assert!(s.achieved_throughput() + 1e-12 >= 1.0 / period);
                 assert_eq!(s.replicas_per_task(), eps as usize + 1);
                 checked += 1;
@@ -80,18 +77,16 @@ fn exhaustive_crash_tolerance_eps1_and_eps2() {
     let mut rng = StdRng::seed_from_u64(23);
     for (name, g) in shapes(&mut rng) {
         for eps in [1u8, 2] {
-            for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
+            for h in [&Ltf as &dyn Heuristic, &Rltf] {
                 let cfg = AlgoConfig::new(eps, 16.0).seeded(9);
-                let Ok(s) = kind
-                    .heuristic()
-                    .schedule(&PreparedInstance::new(&g, &p), &cfg)
-                else {
+                let Ok(s) = h.schedule(&PreparedInstance::new(&g, &p), &cfg) else {
                     continue;
                 };
                 assert!(
                     failures::tolerates_all_crashes(&g, &s, m, eps as usize),
-                    "{kind} on {name} (ε={eps}) loses an output under some \
-                     {eps}-crash pattern"
+                    "{} on {name} (ε={eps}) loses an output under some \
+                     {eps}-crash pattern",
+                    h.name()
                 );
             }
         }
@@ -114,8 +109,7 @@ fn effective_latency_monotone_in_crashes() {
         &mut rng,
     );
     let cfg = AlgoConfig::new(2, 14.0).seeded(1);
-    let s = AlgoKind::Rltf
-        .heuristic()
+    let s = Rltf
         .schedule(&PreparedInstance::new(&g, &p), &cfg)
         .expect("feasible");
     let l0 = failures::effective_latency(&g, &s, &CrashSet::empty(8)).unwrap();
@@ -157,8 +151,7 @@ fn one_to_one_keeps_comm_budget_on_series_parallel() {
             &mut rng,
         );
         let cfg = AlgoConfig::new(eps, 1000.0).seeded(2); // no pressure
-        let s = AlgoKind::Rltf
-            .heuristic()
+        let s = Rltf
             .schedule(&PreparedInstance::new(&g, &p), &cfg)
             .expect("feasible");
         let budget = g.num_edges() * (eps as usize + 1);
@@ -177,26 +170,20 @@ fn failure_modes_reported_cleanly() {
     let p = Platform::homogeneous(2, 1.0, 1.0);
     let cfg = AlgoConfig::new(3, 100.0);
     assert!(matches!(
-        AlgoKind::Rltf
-            .heuristic()
-            .schedule(&PreparedInstance::new(&g, &p), &cfg),
+        Rltf.schedule(&PreparedInstance::new(&g, &p), &cfg),
         Err(ltf_sched::core::ScheduleError::TooFewProcessors { .. })
     ));
     // Period too small for the biggest task.
     let p = Platform::homogeneous(4, 1.0, 1.0);
     let cfg = AlgoConfig::new(0, 5.0);
     assert!(matches!(
-        AlgoKind::Ltf
-            .heuristic()
-            .schedule(&PreparedInstance::new(&g, &p), &cfg),
+        Ltf.schedule(&PreparedInstance::new(&g, &p), &cfg),
         Err(ltf_sched::core::ScheduleError::Infeasible { .. })
     ));
     // Bad period.
     let cfg = AlgoConfig::new(0, f64::NAN);
     assert!(matches!(
-        AlgoKind::Ltf
-            .heuristic()
-            .schedule(&PreparedInstance::new(&g, &p), &cfg),
+        Ltf.schedule(&PreparedInstance::new(&g, &p), &cfg),
         Err(ltf_sched::core::ScheduleError::BadConfig(_))
     ));
 }
