@@ -393,10 +393,13 @@ fn connect_shard<R: CampaignResult + Deserialize>(
 ) -> Result<Vec<R>, String> {
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let req = shard_request_line(spec, k, n, k as u64);
+    // One write on a `TCP_NODELAY` socket: a split write under Nagle's
+    // algorithm waits for the daemon's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let mut req = shard_request_line(spec, k, n, k as u64);
+    req.push('\n');
     stream
         .write_all(req.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
         .map_err(|e| format!("send to {addr}: {e}"))?;
     let mut line = String::new();
     BufReader::new(&stream)

@@ -218,7 +218,7 @@ fn start_tcp_worker() -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
-        let mut service = ltf_serve::Service::new(ltf_serve::ServiceConfig {
+        let service = ltf_serve::Service::new(ltf_serve::ServiceConfig {
             threads: 1,
             ..Default::default()
         });

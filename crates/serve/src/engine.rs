@@ -12,6 +12,17 @@
 //! parallel. Service *times* are the one non-deterministic output, and
 //! they only ever appear in `{"cmd":"stats"}` replies — solve responses
 //! are bit-stable, which is what makes pipe-mode golden tests possible.
+//!
+//! # Concurrency
+//!
+//! A [`Service`] is shared by reference: the cache and the statistics
+//! sit behind their own short locks, held only for a lookup, an insert
+//! or a recorded sample. Decoding, fingerprinting, solving, encoding and
+//! shard runs happen outside them, so callers on other threads (the TCP
+//! connections) proceed in parallel. Serial equivalence is a per-caller
+//! guarantee: across interleaved callers the shared cache can turn one
+//! caller's miss into a hit, so only the `cached` flag differs from a
+//! serial replay.
 
 use crate::cache::{CacheKey, LruCache};
 use crate::proto::{
@@ -25,6 +36,7 @@ use ltf_core::shard::Shard;
 use ltf_core::AlgoConfig;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`Service`].
@@ -75,14 +87,44 @@ struct StatsReply {
 }
 
 /// The scheduler service: registry name table, solution cache and
-/// accounting. One instance serves any number of independent requests;
-/// the graph/platform travel *in* each request, so no instance state
-/// outlives a line except the cache and the counters.
+/// accounting. One instance serves any number of independent requests,
+/// from any number of threads; the graph/platform travel *in* each
+/// request, so no instance state outlives a line except the cache and
+/// the counters.
 pub struct Service {
     config: ServiceConfig,
     names: Vec<HeuristicInfo>,
-    cache: LruCache,
-    stats: ServiceStats,
+    cache: Mutex<LruCache>,
+    stats: Mutex<ServiceStats>,
+}
+
+// TCP mode shares one service across connection threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Service>();
+};
+
+/// Lock one of the service's short critical sections. No locked section
+/// calls into the solver or the codec: each is a map or counter update
+/// that does not panic, so a panicking solve on another thread never
+/// poisons the cache or the statistics for the other connections.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Build the solver for one request and run it, timing the whole call.
+fn solve(
+    req: &SolveRequest,
+    canonical: &str,
+    cfg: &AlgoConfig,
+) -> (Result<SolutionWire, ErrResponse>, u64) {
+    let t0 = Instant::now();
+    let solver = full_solver(&req.graph, &req.platform);
+    let outcome = match solver.solve(canonical, cfg) {
+        Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
+        Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
+    };
+    (outcome, t0.elapsed().as_micros() as u64)
 }
 
 /// A solve line after the serial decode pass.
@@ -124,17 +166,11 @@ impl Service {
             })
             .collect();
         Self {
+            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            stats: Mutex::new(ServiceStats::new()),
             config,
             names,
-            cache: LruCache::new(0),
-            stats: ServiceStats::new(),
         }
-        .with_cache_capacity()
-    }
-
-    fn with_cache_capacity(mut self) -> Self {
-        self.cache = LruCache::new(self.config.cache_capacity);
-        self
     }
 
     /// Registered heuristics (canonical name + aliases).
@@ -159,18 +195,22 @@ impl Service {
 
     /// Current statistics snapshot.
     pub fn stats_report(&self) -> StatsReport {
-        self.stats
-            .report(self.cache.hits(), self.cache.misses(), self.cache.len())
+        let (hits, misses, len) = {
+            let cache = lock(&self.cache);
+            (cache.hits(), cache.misses(), cache.len())
+        };
+        lock(&self.stats).report(hits, misses, len)
     }
 
-    /// Direct read access to the cache (tests, introspection).
-    pub fn cache(&self) -> &LruCache {
-        &self.cache
+    /// The cache, locked for direct read access (tests, introspection).
+    /// Every request's lookup waits while the guard is held.
+    pub fn cache(&self) -> MutexGuard<'_, LruCache> {
+        lock(&self.cache)
     }
 
     /// Answer one request line. Never panics on malformed input; every
     /// line gets exactly one response line.
-    pub fn handle_line(&mut self, line: &str) -> String {
+    pub fn handle_line(&self, line: &str) -> String {
         self.handle_lines(std::slice::from_ref(&line))
             .pop()
             .expect("one response per line")
@@ -184,7 +224,7 @@ impl Service {
     /// ```
     /// use ltf_serve::{Service, ServiceConfig};
     ///
-    /// let mut svc = Service::new(ServiceConfig::default());
+    /// let svc = Service::new(ServiceConfig::default());
     /// let replies = svc.handle_lines(&[
     ///     r#"{"cmd":"heuristics"}"#,
     ///     "definitely not json",
@@ -195,7 +235,7 @@ impl Service {
     /// assert!(replies[0].contains(r#""status":"ok""#));
     /// assert!(replies[1].contains(r#""kind":"parse""#));
     /// ```
-    pub fn handle_lines<S: AsRef<str>>(&mut self, lines: &[S]) -> Vec<String> {
+    pub fn handle_lines<S: AsRef<str>>(&self, lines: &[S]) -> Vec<String> {
         // Pass 1 (serial, line order): decode, classify, and decide which
         // lines need a fresh solve. `pending` de-duplicates identical
         // misses inside the batch: the serial replay would solve the
@@ -211,13 +251,7 @@ impl Service {
         let threads = resolve_threads(self.config.threads);
         let solved: Vec<(Result<SolutionWire, ErrResponse>, u64)> =
             parallel_map(&jobs, threads, |(_, req, cfg, canonical)| {
-                let t0 = Instant::now();
-                let solver = full_solver(&req.graph, &req.platform);
-                let outcome = match solver.solve(canonical, cfg) {
-                    Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
-                    Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
-                };
-                (outcome, t0.elapsed().as_micros() as u64)
+                solve(req, canonical, cfg)
             });
         let results: HashMap<&CacheKey, &(Result<SolutionWire, ErrResponse>, u64)> = jobs
             .iter()
@@ -237,7 +271,7 @@ impl Service {
     }
 
     fn classify(
-        &mut self,
+        &self,
         line: &str,
         jobs: &mut Vec<(CacheKey, Box<SolveRequest>, AlgoConfig, String)>,
         pending: &mut HashMap<CacheKey, usize>,
@@ -260,31 +294,27 @@ impl Service {
                 let line = self.handle_shard(&req);
                 let us = t0.elapsed().as_micros() as u64;
                 if line.starts_with(r#"{"ok":true"#) {
-                    self.stats.record_ok("campaign-shard", us);
+                    lock(&self.stats).record_ok("campaign-shard", us);
                 } else {
-                    self.stats.record_error("shard-failed", us);
+                    lock(&self.stats).record_error("shard-failed", us);
                 }
                 return Slot::Done(line);
             }
             Ok(Request::Solve(req)) => req,
             Err((kind, message, id)) => {
-                self.stats
-                    .record_error(kind, t0.elapsed().as_micros() as u64);
+                lock(&self.stats).record_error(kind, t0.elapsed().as_micros() as u64);
                 return Slot::Done(to_line(&ErrResponse::new(id, kind, None, message)));
             }
         };
         let id = req.id;
-        let err = |service: &mut Self, kind: &str, heuristic: Option<String>, message: String| {
-            service
-                .stats
-                .record_error(kind, t0.elapsed().as_micros() as u64);
+        let err = |kind: &str, heuristic: Option<String>, message: String| {
+            lock(&self.stats).record_error(kind, t0.elapsed().as_micros() as u64);
             Slot::Done(to_line(&ErrResponse::new(id, kind, heuristic, message)))
         };
         if req.graph.num_tasks() > self.config.max_tasks
             || req.graph.num_edges() > self.config.max_edges
         {
             return err(
-                self,
                 "too-large",
                 None,
                 format!(
@@ -298,7 +328,6 @@ impl Service {
         }
         let Some(canonical) = self.canonicalize(&req.heuristic).map(str::to_string) else {
             return err(
-                self,
                 "unknown-heuristic",
                 Some(req.heuristic.clone()),
                 format!("no heuristic named {:?} is registered", req.heuristic),
@@ -306,10 +335,10 @@ impl Service {
         };
         let cfg = match req.config.to_algo() {
             Ok(cfg) => cfg,
-            Err(msg) => return err(self, "bad-request", Some(canonical), msg),
+            Err(msg) => return err("bad-request", Some(canonical), msg),
         };
         let key = CacheKey::new(&req.graph, &req.platform, &canonical, &cfg);
-        let job = if self.cache.contains(&key) || pending.contains_key(&key) {
+        let job = if lock(&self.cache).contains(&key) || pending.contains_key(&key) {
             None
         } else {
             pending.insert(key.clone(), jobs.len());
@@ -385,13 +414,14 @@ impl Service {
     }
 
     fn resolve(
-        &mut self,
+        &self,
         s: SolveSlot,
         results: &HashMap<&CacheKey, &(Result<SolutionWire, ErrResponse>, u64)>,
     ) -> String {
-        if let Some(wire) = self.cache.get(&s.key) {
+        let hit = lock(&self.cache).get(&s.key);
+        if let Some(wire) = hit {
             // Pre-existing entry or a batch-mate's successful solve.
-            self.stats.record_ok(&s.canonical, s.decode_us);
+            lock(&self.stats).record_ok(&s.canonical, s.decode_us);
             return to_line(&OkResponse::new(s.req.id, true, wire));
         }
         // Miss (counted by the failed `get`). Three cases: this line is
@@ -399,29 +429,22 @@ impl Service {
         // failed (errors are not cached, the serial replay fails again
         // identically); or the key's entry was evicted by batch-mates'
         // inserts after the classification pass — then the serial replay
-        // would re-solve, so do exactly that inline (deterministic).
+        // would re-solve, so do exactly that inline (deterministic). A
+        // concurrent caller's inserts can evict the key the same way.
         let (outcome, solve_us) = match results.get(&s.key).copied() {
             Some((outcome, us)) if s.job.is_some() || outcome.is_err() => (outcome.clone(), *us),
-            _ => {
-                let t0 = Instant::now();
-                let solver = full_solver(&s.req.graph, &s.req.platform);
-                let outcome = match solver.solve(&s.canonical, &s.cfg) {
-                    Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
-                    Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
-                };
-                (outcome, t0.elapsed().as_micros() as u64)
-            }
+            _ => solve(&s.req, &s.canonical, &s.cfg),
         };
         match outcome {
             Ok(wire) => {
-                self.cache.insert(s.key.clone(), wire.clone());
-                self.stats.record_ok(&s.canonical, s.decode_us + solve_us);
+                lock(&self.cache).insert(s.key, wire.clone());
+                lock(&self.stats).record_ok(&s.canonical, s.decode_us + solve_us);
                 to_line(&OkResponse::new(s.req.id, false, wire))
             }
             Err(mut err) => {
                 err.id = s.req.id;
-                err.heuristic = Some(s.canonical.clone());
-                self.stats.record_error(&err.kind, s.decode_us + solve_us);
+                err.heuristic = Some(s.canonical);
+                lock(&self.stats).record_error(&err.kind, s.decode_us + solve_us);
                 to_line(&err)
             }
         }

@@ -10,7 +10,8 @@
 //!
 //! * [`proto`] — the wire protocol: request/response types and parsing,
 //! * [`engine`] — the [`Service`]: batched, serially equivalent request
-//!   handling over the `ltf_core::par` pool,
+//!   handling over the `ltf_core::par` pool, shared by reference across
+//!   threads (the cache and counters sit behind short internal locks),
 //! * [`cache`] — the [`LruCache`] and instance fingerprints,
 //! * [`stats`] — service-time percentiles and outcome counters.
 //!

@@ -8,7 +8,8 @@
 //!   (default)      pipe mode: read LDJSON requests from stdin, write one
 //!                  response line per request to stdout, exit at EOF
 //!   --listen ADDR  TCP mode: accept connections on ADDR (e.g.
-//!                  127.0.0.1:7475), serve each line-by-line
+//!                  127.0.0.1:7475), serve them concurrently, each
+//!                  line-by-line in request order
 //!   --soak N       self-test: generate N worked-example-sized requests,
 //!                  serve them in-process, assert zero protocol errors
 //!                  and print the service-time percentiles to stderr
@@ -24,8 +25,9 @@ use ltf_experiments::cli::take;
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::exit;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -110,12 +112,12 @@ fn main() {
 }
 
 /// Pipe mode: batch stdin lines, answer in order, exit at EOF.
-fn serve_pipe(mut service: Service, opts: &Opts) {
+fn serve_pipe(service: Service, opts: &Opts) {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut batch = Vec::with_capacity(opts.batch);
-    let mut flush = |service: &mut Service, batch: &mut Vec<String>| {
+    let mut flush = |batch: &mut Vec<String>| {
         for resp in service.handle_lines(batch) {
             writeln!(out, "{resp}").expect("stdout");
         }
@@ -129,19 +131,19 @@ fn serve_pipe(mut service: Service, opts: &Opts) {
         }
         batch.push(line);
         if batch.len() >= opts.batch {
-            flush(&mut service, &mut batch);
+            flush(&mut batch);
         }
     }
     if !batch.is_empty() {
-        flush(&mut service, &mut batch);
+        flush(&mut batch);
     }
     if opts.stats {
         eprintln!("{}", to_line(&service.stats_report()));
     }
 }
 
-/// TCP mode: line-by-line request/response per connection; connections
-/// share the cache and the statistics through a mutex.
+/// TCP mode: one thread per connection, all sharing the service (and so
+/// its cache and statistics) by reference.
 fn serve_tcp(service: Service, addr: &str) {
     let listener = match std::net::TcpListener::bind(addr) {
         Ok(l) => l,
@@ -156,7 +158,7 @@ fn serve_tcp(service: Service, addr: &str) {
         Ok(local) => eprintln!("ltf-serve: listening on {local}"),
         Err(_) => eprintln!("ltf-serve: listening on {addr}"),
     }
-    let service = Arc::new(Mutex::new(service));
+    let service = Arc::new(service);
     for stream in listener.incoming() {
         let stream = match stream {
             Ok(s) => s,
@@ -166,29 +168,33 @@ fn serve_tcp(service: Service, addr: &str) {
             }
         };
         let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            let peer = stream.peer_addr().map(|a| a.to_string());
-            let mut writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            };
-            for line in BufReader::new(stream).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let resp = service.lock().expect("service mutex").handle_line(&line);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            if let Ok(peer) = peer {
-                eprintln!("ltf-serve: {peer} disconnected");
-            }
-        });
+        std::thread::spawn(move || serve_connection(&service, stream));
+    }
+}
+
+/// Answer one connection's lines in request order. Each reply and its
+/// newline leave in a single write on a `TCP_NODELAY` socket: a split
+/// write under Nagle's algorithm waits for the client's delayed ACK.
+fn serve_connection(service: &Service, stream: TcpStream) {
+    let peer = stream.peer_addr().map(|a| a.to_string());
+    // Best effort: without it replies are still correct, only slower.
+    let _ = stream.set_nodelay(true);
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    for line in BufReader::new(stream).lines() {
+        let Ok(line) = line else { break };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let mut reply = service.handle_line(&line);
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
+            break;
+        }
+    }
+    if let Ok(peer) = peer {
+        eprintln!("ltf-serve: {peer} disconnected");
     }
 }
 
@@ -197,7 +203,7 @@ fn serve_tcp(service: Service, addr: &str) {
 /// heuristics, ε, periods and seeds), assert that no request draws a
 /// protocol-level error, and report the percentiles. Returns the process
 /// exit code.
-fn soak(mut service: Service, n: usize) -> i32 {
+fn soak(service: Service, n: usize) -> i32 {
     let fig1_g = ltf_graph::generate::fig1_diamond();
     let fig1_p = ltf_platform::Platform::fig1_platform();
     let fig2_g = ltf_graph::generate::fig2_workflow_variant();

@@ -165,16 +165,13 @@ fn counters_match_naive_map_replay() {
     }
 }
 
-/// The engine invariant everything above feeds into: batched handling is
-/// serially equivalent — same responses, same counters, same cache
-/// content — regardless of batch size, even with duplicate requests and
-/// tiny cache capacities forcing in-batch evictions.
-#[test]
-fn batch_handling_is_serially_equivalent() {
+/// A request stream over the Fig. 1 instance with duplicates and
+/// case-varied heuristic names.
+fn request_lines(seed: u64) -> Vec<String> {
     let (g, p) = instance();
-    let mut rng = StdRng::seed_from_u64(0x5E_41);
+    let mut rng = StdRng::seed_from_u64(seed);
     let heuristics = ["ltf", "RLTF", "fault-free", "heft"];
-    let lines: Vec<String> = (0..48)
+    (0..48)
         .map(|i| {
             let heuristic = heuristics[rng.gen_range(0usize..heuristics.len())];
             let req = ltf_serve::SolveRequest {
@@ -195,16 +192,25 @@ fn batch_handling_is_serially_equivalent() {
             };
             serde_json::to_string(&req).unwrap()
         })
-        .collect();
+        .collect()
+}
+
+/// The engine invariant everything above feeds into: batched handling is
+/// serially equivalent — same responses, same counters, same cache
+/// content — regardless of batch size, even with duplicate requests and
+/// tiny cache capacities forcing in-batch evictions.
+#[test]
+fn batch_handling_is_serially_equivalent() {
+    let lines = request_lines(0x5E_41);
     for &capacity in &[1usize, 2, 64] {
         let config = ServiceConfig {
             cache_capacity: capacity,
             ..ServiceConfig::default()
         };
-        let mut serial = Service::new(config.clone());
+        let serial = Service::new(config.clone());
         let serial_responses: Vec<String> = lines.iter().map(|l| serial.handle_line(l)).collect();
         for &batch in &[4usize, 16, 48] {
-            let mut batched = Service::new(config.clone());
+            let batched = Service::new(config.clone());
             let responses: Vec<String> = lines
                 .chunks(batch)
                 .flat_map(|chunk| batched.handle_lines(chunk))
@@ -225,5 +231,58 @@ fn batch_handling_is_serially_equivalent() {
             let batched_keys: Vec<_> = batched.cache().keys_lru_first().cloned().collect();
             assert_eq!(batched_keys, serial_keys);
         }
+    }
+}
+
+/// Callers on several threads share one service (as TCP connections do).
+/// Each caller's replies are its serial replies except for the `cached`
+/// flag — the shared cache can answer a line another caller solved — and
+/// the shared counters account for every line exactly once.
+#[test]
+fn concurrent_callers_differ_only_in_cached_flag() {
+    let lines = request_lines(0xC0_11);
+    let uncached = |r: &String| r.replace(r#""cached":true"#, r#""cached":false"#);
+    for &capacity in &[1usize, 64] {
+        let config = ServiceConfig {
+            cache_capacity: capacity,
+            ..ServiceConfig::default()
+        };
+        let serial = Service::new(config.clone());
+        let want: Vec<String> = lines
+            .iter()
+            .map(|l| uncached(&serial.handle_line(l)))
+            .collect();
+        let shared = Service::new(config);
+        let callers = 3;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers)
+                .map(|c| {
+                    let (shared, lines) = (&shared, &lines);
+                    scope.spawn(move || {
+                        lines
+                            .chunks(4 + 4 * c)
+                            .flat_map(|chunk| shared.handle_lines(chunk))
+                            .collect::<Vec<String>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                let got: Vec<String> = h.join().unwrap().iter().map(uncached).collect();
+                assert_eq!(got, want, "capacity {capacity}");
+            }
+        });
+        let (sr, cr) = (serial.stats_report(), shared.stats_report());
+        let n = callers as u64;
+        assert_eq!((cr.ok, cr.errors), (n * sr.ok, n * sr.errors));
+        // One lookup per solve line; with no evictions, a key a caller
+        // saw before is still cached.
+        assert_eq!(
+            cr.cache_hits + cr.cache_misses,
+            n * (sr.cache_hits + sr.cache_misses)
+        );
+        if capacity >= lines.len() {
+            assert!(cr.cache_hits >= n * sr.cache_hits);
+        }
+        assert!(shared.cache().len() <= capacity);
     }
 }
