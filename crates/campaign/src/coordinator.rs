@@ -22,15 +22,17 @@
 //! The whole pipeline is generic over [`CampaignResult`]: a Pareto
 //! campaign shards front enumerations and merges [`ItemResult`]s, an SLO
 //! campaign (spec with a `failure` block) shards trace blocks and merges
-//! [`SloItemResult`]s into an `ltf_faultlab::SloReport`.
-//! Workers self-dispatch on the spec, so the supervision, wire format,
-//! retry and journaling machinery is shared verbatim between the two.
+//! [`SloItemResult`]s into an `ltf_faultlab::SloReport`. Workers and
+//! daemons run every shard through the one
+//! `ltf_experiments::campaign::run_spec_shard` dispatch, so the
+//! supervision, wire format, retry and journaling machinery is shared
+//! verbatim between the two; the coordinator picks the kind only to type
+//! the merge and render the output.
 
 use ltf_experiments::campaign::{
-    build_slo_report, render_lines, run_serial, run_slo_serial, slo_cells, slo_work_items,
-    work_items, CampaignResult, CampaignSpec, ItemResult, Merger, SloItemResult,
+    build_slo_report, render_lines, run_serial, run_slo_serial, CampaignResult, CampaignSpec,
+    ItemResult, Merger, ShardDone, SloItemResult,
 };
-use ltf_experiments::checkpoint::{as_bool, as_str, as_u64, field};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -123,30 +125,22 @@ pub fn run_campaign(
     if cfg.shards == 0 {
         return Err("campaign: shard count must be ≥ 1".into());
     }
-    let exps = spec.expand().map_err(|e| e.to_string())?;
     if let Some(dir) = &cfg.journal_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("journal dir {}: {e}", dir.display()))?;
     }
-    if let Some(f) = &spec.failure {
-        let expected = slo_work_items(f, &slo_cells(&exps)).len();
-        let (results, retries_used) = drive::<SloItemResult>(spec_path, spec, cfg, expected)?;
-        let items = results.len();
-        let report = build_slo_report(spec, &results)?;
-        Ok(RunReport {
-            lines: report.json_lines(),
-            items,
-            retries_used,
-        })
+    let (lines, items, retries_used) = if spec.failure.is_some() {
+        let (results, retries) = drive::<SloItemResult>(spec_path, spec, cfg)?;
+        let lines = build_slo_report(spec, &results)?.json_lines();
+        (lines, results.len(), retries)
     } else {
-        let expected = work_items(&exps).len();
-        let (results, retries_used) = drive::<ItemResult>(spec_path, spec, cfg, expected)?;
-        let items = results.len();
-        Ok(RunReport {
-            lines: render_lines(&results),
-            items,
-            retries_used,
-        })
-    }
+        let (results, retries) = drive::<ItemResult>(spec_path, spec, cfg)?;
+        (render_lines(&results), results.len(), retries)
+    };
+    Ok(RunReport {
+        lines,
+        items,
+        retries_used,
+    })
 }
 
 /// The serial golden reference for `spec`, whichever campaign kind it
@@ -167,12 +161,12 @@ pub fn serial_lines(
 /// The transport- and kind-agnostic supervisor core: drain the shard
 /// queue through spawned workers or remote daemons, retry crashed
 /// shards, and merge every streamed result into global item order.
-fn drive<R: CampaignResult + Deserialize + Send>(
+fn drive<R: CampaignResult>(
     spec_path: &Path,
     spec: &CampaignSpec,
     cfg: &RunConfig,
-    expected: usize,
 ) -> Result<(Vec<R>, usize), String> {
+    let expected = R::items(spec)?.1.len();
     // The shared shard queue: (shard index, attempts so far).
     let queue: Mutex<VecDeque<(usize, usize)>> =
         Mutex::new((0..cfg.shards).map(|k| (k, 0)).collect());
@@ -269,7 +263,7 @@ fn drive<R: CampaignResult + Deserialize + Send>(
 /// Success requires both the `{"done":true,...}` line *and* a clean
 /// exit — a worker killed after its last item but before the done line
 /// still counts as crashed (its journal makes the rerun cheap).
-fn spawn_shard<R: CampaignResult + Deserialize>(
+fn spawn_shard<R: CampaignResult>(
     spec_path: &Path,
     cfg: &RunConfig,
     k: usize,
@@ -342,14 +336,11 @@ enum WorkerLine<R> {
 
 fn parse_worker_line<R: Deserialize>(line: &str) -> Option<WorkerLine<R>> {
     let v: Value = serde_json::from_str(line).ok()?;
-    if let Some(done) = field(&v, "done").and_then(as_bool) {
-        if done {
-            let items = field(&v, "items").and_then(as_u64).unwrap_or(0);
-            return Some(WorkerLine::Done { items });
-        }
-        return None;
+    match ShardDone::from_value(&v) {
+        Ok(done) if done.done => Some(WorkerLine::Done { items: done.items }),
+        Ok(_) => None,
+        Err(_) => R::from_value(&v).ok().map(WorkerLine::Result),
     }
-    R::from_value(&v).ok().map(WorkerLine::Result)
 }
 
 /// The `{"cmd":"shard",...}` request line for shard `k` of `n`, with the
@@ -365,19 +356,31 @@ pub fn shard_request_line(spec: &CampaignSpec, k: usize, n: usize, id: u64) -> S
 }
 
 /// Decode a `shard` response line into its results, surfacing protocol
-/// errors (`"ok":false` replies) as text.
+/// errors (`"ok":false` replies, or the daemon's generic `kind`/`message`
+/// error reply) as text. Only the keys read here are looked at; the
+/// results decode as the campaign's kind.
 pub fn parse_shard_response<R: Deserialize>(line: &str) -> Result<Vec<R>, String> {
-    let v: Value =
-        serde_json::from_str(line).map_err(|e| format!("unparseable shard response: {e}"))?;
-    if field(&v, "ok").and_then(as_bool) != Some(true) {
-        let kind = field(&v, "error").and_then(as_str).unwrap_or("unknown");
-        let msg = field(&v, "message").and_then(as_str).unwrap_or("");
-        return Err(format!("worker rejected shard: {kind}: {msg}"));
+    let Value::Map(fields) =
+        serde_json::from_str(line).map_err(|e| format!("unparseable shard response: {e}"))?
+    else {
+        return Err("unparseable shard response: not an object".into());
+    };
+    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let text = |name: &str| match get(name) {
+        Some(Value::Str(s)) => Some(s.as_str()),
+        _ => None,
+    };
+    if !matches!(get("ok"), Some(Value::Bool(true))) {
+        return Err(format!(
+            "worker rejected shard: {}: {}",
+            text("error").or(text("kind")).unwrap_or("unknown"),
+            text("message").unwrap_or_default()
+        ));
     }
-    let Some(Value::Seq(items)) = field(&v, "results") else {
+    let Some(Value::Seq(results)) = get("results") else {
         return Err("shard response has no results array".into());
     };
-    items
+    results
         .iter()
         .map(|r| R::from_value(r).map_err(|e| format!("bad result in response: {e}")))
         .collect()
@@ -385,7 +388,7 @@ pub fn parse_shard_response<R: Deserialize>(line: &str) -> Result<Vec<R>, String
 
 /// Run shard `k` remotely: one TCP connection, one request line, one
 /// response line.
-fn connect_shard<R: CampaignResult + Deserialize>(
+fn connect_shard<R: CampaignResult>(
     addr: &str,
     spec: &CampaignSpec,
     n: usize,
@@ -425,14 +428,19 @@ mod tests {
     #[test]
     fn shard_request_roundtrips_through_value() {
         let spec = tiny_spec();
+        #[derive(Deserialize)]
+        struct Request {
+            cmd: String,
+            id: u64,
+            spec: CampaignSpec,
+            shard: String,
+        }
         let line = shard_request_line(&spec, 1, 4, 7);
-        let v: Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(field(&v, "cmd").and_then(as_str), Some("shard"));
-        assert_eq!(field(&v, "shard").and_then(as_str), Some("1/4"));
-        assert_eq!(field(&v, "id").and_then(as_u64), Some(7));
-        let spec_v = field(&v, "spec").unwrap();
-        let decoded = CampaignSpec::from_value(spec_v).unwrap();
-        assert_eq!(decoded, spec);
+        let req: Request = serde_json::from_str(&line).unwrap();
+        assert_eq!(req.cmd, "shard");
+        assert_eq!(req.shard, "1/4");
+        assert_eq!(req.id, 7);
+        assert_eq!(req.spec, spec);
     }
 
     #[test]
@@ -449,6 +457,15 @@ mod tests {
         assert!(err.contains("unparseable"), "{err}");
         let err = parse_shard_response::<ItemResult>(r#"{"ok":true}"#).unwrap_err();
         assert!(err.contains("no results"), "{err}");
+        // The daemon's generic error reply names its class under `kind`.
+        let err = parse_shard_response::<ItemResult>(
+            r#"{"id":null,"status":"error","kind":"parse","heuristic":null,"message":"bad"}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("parse: bad"), "{err}");
+        // Keys nothing reads are tolerated.
+        let ok = parse_shard_response::<ItemResult>(r#"{"ok":true,"extra":1,"results":[]}"#);
+        assert_eq!(ok.unwrap().len(), 0);
     }
 
     #[test]

@@ -12,32 +12,40 @@
 //! rendered merge equals [`run_serial`]'s output exactly.
 
 use super::spec::CampaignSpec;
-use super::worker::{run_shard, work_items, ItemResult};
+use super::worker::{run_shard, ItemResult};
 use ltf_core::shard::Shard;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// What the merger needs from a campaign work-item result. Pareto
-/// campaigns merge [`ItemResult`]s, SLO campaigns merge
-/// [`super::slo::SloItemResult`]s; the merge discipline — global item
-/// order, conflicting duplicates are determinism violations — is
-/// identical, so the [`Merger`] is generic over it.
-pub trait CampaignResult: Clone + PartialEq + std::fmt::Debug {
+/// A campaign kind, named by its work-item result: Pareto campaigns
+/// compute [`ItemResult`]s, SLO campaigns [`super::slo::SloItemResult`]s.
+/// Only what differs between the kinds lives here — the spec's work-item
+/// list, the compute for one item and the journal-key prefix — so one
+/// shard runner ([`run_shard`]), one worker wire and one [`Merger`] serve
+/// both. The merge discipline — global item order, conflicting
+/// duplicates are determinism violations — is identical.
+pub trait CampaignResult:
+    Clone + PartialEq + std::fmt::Debug + Serialize + Deserialize + Send
+{
+    /// Journal-key prefix (`campaign` or `slo`): keeps the two kinds'
+    /// records disjoint even in a shared journal file.
+    const KEY_PREFIX: &'static str;
+    /// One unit of work.
+    type Item: Sync;
+    /// What computing an item needs besides the spec, expanded once.
+    type Context: Sync;
+    /// The spec's global ordered work-item list (an item's position is
+    /// its global index) and its compute context. A spec of the other
+    /// kind is an error.
+    fn items(spec: &CampaignSpec) -> Result<(Self::Context, Vec<Self::Item>), String>;
+    /// Compute one work item. Self-contained: any shard, thread or retry
+    /// computes the identical result.
+    fn compute(spec: &CampaignSpec, ctx: &Self::Context, item: &Self::Item) -> Self;
     /// Global work-item index (the merge key).
     fn item_index(&self) -> u64;
     /// Short description used in determinism-violation diagnostics.
     fn summary(&self) -> String;
-}
-
-impl CampaignResult for ItemResult {
-    fn item_index(&self) -> u64 {
-        self.item
-    }
-
-    fn summary(&self) -> String {
-        format!("{} rows, label {:?}", self.rows.len(), self.label)
-    }
 }
 
 /// Accumulates per-item results from all shards of a campaign.
@@ -147,22 +155,33 @@ pub fn render_lines(results: &[ItemResult]) -> Vec<String> {
 }
 
 /// Run the whole campaign in this process and render its output — the
-/// golden reference every distributed run is compared against. Implemented
-/// as the trivial one-shard run through the exact same worker and merge
-/// path, so "serial equals distributed" is structural, not coincidental.
+/// golden reference every distributed run is compared against.
 pub fn run_serial(
     spec: &CampaignSpec,
     threads: usize,
     journal: Option<&Path>,
 ) -> Result<Vec<String>, String> {
-    let expected = work_items(&spec.expand().map_err(|e| e.to_string())?).len();
+    let results = run_merged::<ItemResult>(spec, threads, journal)?;
+    Ok(render_lines(&results))
+}
+
+/// Run every item of a kind-`R` campaign in this process and merge the
+/// results into global item order. Implemented as the trivial one-shard
+/// run through the exact same shard runner and merge as a distributed
+/// run, so "serial equals distributed" is structural, not coincidental.
+pub(crate) fn run_merged<R: CampaignResult>(
+    spec: &CampaignSpec,
+    threads: usize,
+    journal: Option<&Path>,
+) -> Result<Vec<R>, String> {
+    let expected = R::items(spec)?.1.len();
     let mut collected = Vec::new();
-    run_shard(spec, Shard::solo(), threads, journal, |r| {
+    run_shard::<R>(spec, Shard::solo(), threads, journal, |r| {
         collected.push(r.clone());
     })?;
     let mut merger = Merger::new(expected);
     for r in collected {
         merger.insert(r)?;
     }
-    Ok(render_lines(&merger.finish()?))
+    merger.finish()
 }

@@ -20,27 +20,26 @@
 //!    the merge re-orders blocks by global item index before cells are
 //!    aggregated — so every digest is built in one canonical order;
 //! 3. conflicting duplicate items are rejected by the
-//!    [`Merger`], exactly as in Pareto campaigns.
+//!    [`Merger`](super::Merger), exactly as in Pareto campaigns.
+//!
+//! Everything but the items themselves is shared with Pareto campaigns:
+//! [`SloItemResult`] implements [`CampaignResult`], so SLO shards run
+//! through the same [`run_shard`](super::run_shard), journal, worker
+//! wire and merge, under journal keys prefixed `slo:`.
 //!
 //! See `docs/slo-campaign.md` for the spec format and report fields.
 
-use super::merge::{CampaignResult, Merger};
+use super::merge::{run_merged, CampaignResult};
 use super::spec::{CampaignSpec, Experiment, FailureSpec};
-use super::worker::ABORT_ENV;
-use crate::checkpoint::{resume_chunks, Checkpoint};
-use crate::figures::window_for;
 use crate::pareto::ParetoInstance;
 use crate::workload::gen_instance_on;
 use ltf_baselines::full_solver;
-use ltf_core::shard::Shard;
 use ltf_core::AlgoConfig;
 use ltf_faultlab::{
     replay, CellStats, FailureModel, ReplayConfig, SimEngine, SloReport, SloRow, SloThreshold,
 };
 use ltf_sim::RecoveryPolicy;
-use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
-use std::io::Write;
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// One SLO cell: a concrete (experiment, ε, instance) point with its own
@@ -142,6 +141,98 @@ pub struct SloItemResult {
 }
 
 impl CampaignResult for SloItemResult {
+    const KEY_PREFIX: &'static str = "slo";
+    type Item = SloWorkItem;
+    /// The expanded experiments, their cells and the spec signature.
+    type Context = (Vec<Experiment>, Vec<SloCell>, u64);
+
+    fn items(spec: &CampaignSpec) -> Result<(Self::Context, Vec<SloWorkItem>), String> {
+        let f = spec
+            .failure
+            .as_ref()
+            .ok_or_else(|| "slo: spec has no \"failure\" block".to_string())?;
+        let exps = spec.expand().map_err(|e| e.to_string())?;
+        let cells = slo_cells(&exps);
+        let items = slo_work_items(f, &cells);
+        Ok(((exps, cells, spec.signature()), items))
+    }
+
+    /// Compute one trace block: materialize the cell's instance, solve its
+    /// witness, and replay the block's traces. Self-contained — any shard,
+    /// thread, or retry computes the identical result from `(spec, item)`
+    /// alone. An infeasible cell yields empty stats with `feasible: false`;
+    /// a witness that fails validation is a scheduler bug and panics.
+    fn compute(spec: &CampaignSpec, (exps, cells, sig): &Self::Context, wi: &SloWorkItem) -> Self {
+        let f = spec
+            .failure
+            .as_ref()
+            .expect("SLO campaign has a failure block");
+        let cell = &cells[wi.cell];
+        let exp = &exps[cell.experiment];
+        let (g, p, period) = match exp.family {
+            ParetoInstance::Workload => {
+                let mut wl = exp.workload.clone();
+                wl.epsilon = cell.epsilon;
+                let inst = gen_instance_on(&wl, cell.seed, exp.topology.as_ref());
+                let period = f.period.unwrap_or(inst.period);
+                (inst.graph, inst.platform, period)
+            }
+            fam => {
+                let (g, p, _) = fam.build(cell.seed, exp.workload.utilization);
+                let period = f
+                    .period
+                    .expect("validated: fig families require failure.period");
+                (g, p, period)
+            }
+        };
+        let solver = full_solver(&g, &p);
+        let mut stats = CellStats::new();
+        let mut feasible = false;
+        if let Ok(sol) = solver.solve(&exp.algo, &AlgoConfig::new(cell.epsilon, period)) {
+            if let Err(e) = ltf_schedule::validate(&g, &p, &sol.schedule) {
+                panic!(
+                    "slo item {} ({}): witness fails validation: {e:?}",
+                    wi.item, cell.label
+                );
+            }
+            feasible = true;
+            let m = p.num_procs();
+            let model = match (&f.rate, &f.rates) {
+                (Some(r), None) => FailureModel::uniform(m, *r),
+                (None, Some(rs)) => {
+                    assert_eq!(
+                        rs.len(),
+                        m,
+                        "failure.rates has {} entries but cell {} has {m} processors",
+                        rs.len(),
+                        cell.label
+                    );
+                    FailureModel::from_rates(rs.clone())
+                }
+                _ => unreachable!("validated: exactly one of rate/rates"),
+            };
+            let slo = slo_threshold(spec);
+            let cfg = ReplayConfig {
+                items: f.items(),
+                policy: policy_of(f),
+                engine: engine_of(f),
+            };
+            let traces = f.traces();
+            for t in wi.t0..wi.t1 {
+                let stream = (cell.index * traces + t) as u64;
+                let trace = model.sample_trace(*sig, stream);
+                stats.record(&replay(&g, &p, &sol.schedule, trace, &cfg), &slo);
+            }
+        }
+        SloItemResult {
+            item: wi.item as u64,
+            cell: cell.index as u64,
+            label: cell.label.clone(),
+            feasible,
+            stats,
+        }
+    }
+
     fn item_index(&self) -> u64 {
         self.item
     }
@@ -178,161 +269,6 @@ fn engine_of(f: &FailureSpec) -> SimEngine {
         .as_deref()
         .and_then(SimEngine::parse)
         .unwrap_or(SimEngine::Synchronous)
-}
-
-/// Compute one trace block: materialize the cell's instance, solve its
-/// witness, and replay the block's traces. Self-contained — any shard,
-/// thread, or retry computes the identical result from `(spec, item)`
-/// alone. An infeasible cell yields empty stats with `feasible: false`;
-/// a witness that fails validation is a scheduler bug and panics.
-pub fn compute_slo_item(
-    spec: &CampaignSpec,
-    exps: &[Experiment],
-    cells: &[SloCell],
-    sig: u64,
-    wi: &SloWorkItem,
-) -> SloItemResult {
-    let f = spec
-        .failure
-        .as_ref()
-        .expect("SLO campaign has a failure block");
-    let cell = &cells[wi.cell];
-    let exp = &exps[cell.experiment];
-    let (g, p, period) = match exp.family {
-        ParetoInstance::Workload => {
-            let mut wl = exp.workload.clone();
-            wl.epsilon = cell.epsilon;
-            let inst = gen_instance_on(&wl, cell.seed, exp.topology.as_ref());
-            let period = f.period.unwrap_or(inst.period);
-            (inst.graph, inst.platform, period)
-        }
-        fam => {
-            let (g, p, _) = fam.build(cell.seed, exp.workload.utilization);
-            let period = f
-                .period
-                .expect("validated: fig families require failure.period");
-            (g, p, period)
-        }
-    };
-    let solver = full_solver(&g, &p);
-    let mut stats = CellStats::new();
-    let mut feasible = false;
-    if let Ok(sol) = solver.solve(&exp.algo, &AlgoConfig::new(cell.epsilon, period)) {
-        if let Err(e) = ltf_schedule::validate(&g, &p, &sol.schedule) {
-            panic!(
-                "slo item {} ({}): witness fails validation: {e:?}",
-                wi.item, cell.label
-            );
-        }
-        feasible = true;
-        let m = p.num_procs();
-        let model = match (&f.rate, &f.rates) {
-            (Some(r), None) => FailureModel::uniform(m, *r),
-            (None, Some(rs)) => {
-                assert_eq!(
-                    rs.len(),
-                    m,
-                    "failure.rates has {} entries but cell {} has {m} processors",
-                    rs.len(),
-                    cell.label
-                );
-                FailureModel::from_rates(rs.clone())
-            }
-            _ => unreachable!("validated: exactly one of rate/rates"),
-        };
-        let slo = slo_threshold(spec);
-        let cfg = ReplayConfig {
-            items: f.items(),
-            policy: policy_of(f),
-            engine: engine_of(f),
-        };
-        let traces = f.traces();
-        for t in wi.t0..wi.t1 {
-            let stream = (cell.index * traces + t) as u64;
-            let trace = model.sample_trace(sig, stream);
-            stats.record(&replay(&g, &p, &sol.schedule, trace, &cfg), &slo);
-        }
-    }
-    SloItemResult {
-        item: wi.item as u64,
-        cell: cell.index as u64,
-        label: cell.label.clone(),
-        feasible,
-        stats,
-    }
-}
-
-/// The journal key of SLO work item `item` under a spec with fingerprint
-/// `sig`. The `slo:` prefix keeps these records disjoint from Pareto
-/// campaign records even in a shared journal file.
-pub fn slo_journal_key(name: &str, sig: u64, item: usize) -> String {
-    format!("slo:{name}:{sig:016x}:item={item:06}")
-}
-
-/// Run one shard of an SLO campaign: compute every trace block the shard
-/// owns (journal-replayed blocks first, then fresh ones, each exactly
-/// once) and stream each [`SloItemResult`] through `emit`. The shape
-/// mirrors `run_shard` deliberately — same checkpoint machinery, same
-/// round-robin sharding, same emit contract.
-pub fn run_slo_shard(
-    spec: &CampaignSpec,
-    shard: Shard,
-    threads: usize,
-    journal: Option<&Path>,
-    mut emit: impl FnMut(&SloItemResult),
-) -> Result<usize, String> {
-    let exps = spec.expand().map_err(|e| e.to_string())?;
-    let f = spec
-        .failure
-        .as_ref()
-        .ok_or_else(|| "slo: spec has no \"failure\" block".to_string())?;
-    let cells = slo_cells(&exps);
-    let owned: Vec<SloWorkItem> = slo_work_items(f, &cells)
-        .into_iter()
-        .filter(|wi| shard.owns(wi.item))
-        .collect();
-    let sig = spec.signature();
-    let key = |wi: &SloWorkItem| slo_journal_key(&spec.name, sig, wi.item);
-    let expected: HashSet<String> = owned.iter().map(key).collect();
-    let mut emitted = 0usize;
-    let mut ckpt = match journal {
-        Some(path) => Some(
-            Checkpoint::open(path, |k, value| {
-                if !expected.contains(k) {
-                    return false; // different campaign or shard sharing the file
-                }
-                match SloItemResult::from_value(value) {
-                    Ok(r) => {
-                        emitted += 1;
-                        emit(&r);
-                        true
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: checkpoint: record {k} does not decode ({e}); recomputing"
-                        );
-                        false
-                    }
-                }
-            })
-            .map_err(|e| format!("checkpoint: {e}"))?,
-        ),
-        None => None,
-    };
-    resume_chunks(
-        &owned,
-        threads,
-        window_for(threads),
-        &mut ckpt,
-        key,
-        |wi| compute_slo_item(spec, &exps, &cells, sig, wi),
-        |_, r: SloItemResult| {
-            emitted += 1;
-            emit(&r);
-        },
-    )
-    .map_err(|e| format!("checkpoint: {e}"))?;
-    Ok(emitted)
 }
 
 /// Aggregate merged results (global item order) into the campaign's
@@ -391,72 +327,11 @@ pub fn build_slo_report(
 
 /// Run the whole SLO campaign in this process and build its report — the
 /// golden reference every distributed run is compared against, via the
-/// same one-shard worker and merge path.
+/// same one-shard runner and merge path.
 pub fn run_slo_serial(
     spec: &CampaignSpec,
     threads: usize,
     journal: Option<&Path>,
 ) -> Result<SloReport, String> {
-    let exps = spec.expand().map_err(|e| e.to_string())?;
-    let f = spec
-        .failure
-        .as_ref()
-        .ok_or_else(|| "slo: spec has no \"failure\" block".to_string())?;
-    let expected = slo_work_items(f, &slo_cells(&exps)).len();
-    let mut collected = Vec::new();
-    run_slo_shard(spec, Shard::solo(), threads, journal, |r| {
-        collected.push(r.clone());
-    })?;
-    let mut merger: Merger<SloItemResult> = Merger::new(expected);
-    for r in collected {
-        merger.insert(r)?;
-    }
-    build_slo_report(spec, &merger.finish()?)
-}
-
-/// The SLO worker wire: one JSON line per [`SloItemResult`] plus the
-/// same `{"done":true,...}` trailer as Pareto workers, so the
-/// coordinator's child supervision (done/exit handshake, crash retry,
-/// [`ABORT_ENV`] injection) is shared between the two campaign kinds.
-pub fn slo_worker_main(
-    spec: &CampaignSpec,
-    shard: Shard,
-    threads: usize,
-    journal: Option<&Path>,
-    out: &mut impl Write,
-) -> Result<usize, String> {
-    let abort_marker = std::env::var_os(ABORT_ENV).map(std::path::PathBuf::from);
-    let mut io_err: Option<String> = None;
-    let emitted = run_slo_shard(spec, shard, threads, journal, |r| {
-        if io_err.is_some() {
-            return;
-        }
-        let line = serde_json::to_string(r).expect("value writer is infallible");
-        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
-            io_err = Some(format!("worker stdout: {e}"));
-            return;
-        }
-        if let Some(marker) = &abort_marker {
-            if !marker.exists() {
-                // First incarnation: leave the marker so the retry
-                // survives, then die without unwinding — the same
-                // failure the SIGKILL CI smoke injects.
-                let _ = std::fs::write(marker, b"aborted\n");
-                std::process::abort();
-            }
-        }
-    })?;
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    let done = Value::Map(vec![
-        ("done".to_string(), Value::Bool(true)),
-        ("shard".to_string(), Value::Str(shard.to_string())),
-        ("items".to_string(), Value::UInt(emitted as u64)),
-    ]);
-    let line = serde_json::to_string(&done).expect("value writer is infallible");
-    writeln!(out, "{line}")
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("worker stdout: {e}"))?;
-    Ok(emitted)
+    build_slo_report(spec, &run_merged::<SloItemResult>(spec, threads, journal)?)
 }

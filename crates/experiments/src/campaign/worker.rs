@@ -1,23 +1,28 @@
-//! The campaign worker: the flattened work-item list, per-item front
-//! enumeration, and the checkpointed shard runner.
+//! The campaign worker: the Pareto work items, the one shard runner
+//! both campaign kinds go through, and the worker-process wire.
 //!
-//! A campaign's unit of distribution is the **work item**: one (graph
-//! instance, ε band) front enumeration, numbered globally across the
-//! whole expanded experiment matrix in expansion order. Sharding is
-//! round-robin over that global index ([`ltf_core::shard::Shard`]), so
-//! the item→shard assignment is a pure function of the spec and the shard
-//! count — any process can recompute any shard, which is what lets the
-//! coordinator reassign a dead worker's shard and still merge a
-//! byte-identical front.
+//! A campaign's unit of distribution is the **work item**: for a Pareto
+//! campaign one (graph instance, ε band) front enumeration, for an SLO
+//! campaign one trace block ([`super::slo`]), numbered globally across
+//! the whole expanded matrix in expansion order. Sharding is round-robin
+//! over that global index ([`ltf_core::shard::Shard`]), so the item→shard
+//! assignment is a pure function of the spec and the shard count — any
+//! process can recompute any shard, which is what lets the coordinator
+//! reassign a dead worker's shard and still merge byte-identical output.
+//!
+//! [`run_shard`] runs one shard of either kind through the journalled
+//! runner ([`crate::checkpoint::run_journalled`]); [`run_spec_shard`] is
+//! the one place a spec's kind is picked, shared by [`worker_main`] and
+//! the `ltf-serve` shard handler.
 
+use super::merge::CampaignResult;
+use super::slo::SloItemResult;
 use super::spec::{CampaignSpec, Experiment};
-use crate::checkpoint::{resume_chunks, Checkpoint};
-use crate::figures::window_for;
+use crate::checkpoint::run_journalled;
 use crate::pareto::{enumerate, validate_front, FrontRow, ParetoInstance};
 use crate::workload::gen_instance_on;
 use ltf_core::shard::Shard;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::Path;
 
@@ -76,110 +81,137 @@ pub struct ItemResult {
     pub rows: Vec<FrontRow>,
 }
 
-/// Enumerate one work item's front. Every witness is re-validated against
-/// its platform prefix first; a validation failure is a scheduler bug and
-/// panics (propagated with its payload by the worker pool) rather than
-/// journalling a bogus result as completed work.
-pub fn compute_item(exps: &[Experiment], wi: &WorkItem) -> ItemResult {
-    let exp = &exps[wi.experiment];
-    let (g, p) = match exp.family {
-        ParetoInstance::Workload => {
-            let inst = gen_instance_on(&exp.workload, wi.seed, exp.topology.as_ref());
-            (inst.graph, inst.platform)
+impl CampaignResult for ItemResult {
+    const KEY_PREFIX: &'static str = "campaign";
+    type Item = WorkItem;
+    type Context = Vec<Experiment>;
+
+    fn items(spec: &CampaignSpec) -> Result<(Vec<Experiment>, Vec<WorkItem>), String> {
+        if spec.failure.is_some() {
+            return Err(format!(
+                "campaign {:?} has a \"failure\" block: run it as an SLO campaign",
+                spec.name
+            ));
         }
-        fam => {
-            let (g, p, _) = fam.build(wi.seed, exp.workload.utilization);
-            (g, p)
-        }
-    };
-    let front = enumerate(&g, &p, &exp.algo, &exp.opts).expect("algo validated at expansion");
-    if let Err(e) = validate_front(&g, &p, &front) {
-        panic!("campaign item {} ({}): {e}", wi.item, exp.label);
+        let exps = spec.expand().map_err(|e| e.to_string())?;
+        let items = work_items(&exps);
+        Ok((exps, items))
     }
-    ItemResult {
-        item: wi.item as u64,
-        experiment: wi.experiment as u64,
-        label: exp.label.clone(),
-        seed: wi.seed,
-        rows: front.iter().map(|pt| FrontRow::new(wi.seed, pt)).collect(),
+
+    /// Enumerate one work item's front. Every witness is re-validated
+    /// against its platform prefix first; a validation failure is a
+    /// scheduler bug and panics (propagated with its payload by the worker
+    /// pool) rather than journalling a bogus result as completed work.
+    fn compute(_: &CampaignSpec, exps: &Vec<Experiment>, wi: &WorkItem) -> Self {
+        let exp = &exps[wi.experiment];
+        let (g, p) = match exp.family {
+            ParetoInstance::Workload => {
+                let inst = gen_instance_on(&exp.workload, wi.seed, exp.topology.as_ref());
+                (inst.graph, inst.platform)
+            }
+            fam => {
+                let (g, p, _) = fam.build(wi.seed, exp.workload.utilization);
+                (g, p)
+            }
+        };
+        let front = enumerate(&g, &p, &exp.algo, &exp.opts).expect("algo validated at expansion");
+        if let Err(e) = validate_front(&g, &p, &front) {
+            panic!("campaign item {} ({}): {e}", wi.item, exp.label);
+        }
+        ItemResult {
+            item: wi.item as u64,
+            experiment: wi.experiment as u64,
+            label: exp.label.clone(),
+            seed: wi.seed,
+            rows: front.iter().map(|pt| FrontRow::new(wi.seed, pt)).collect(),
+        }
+    }
+
+    fn item_index(&self) -> u64 {
+        self.item
+    }
+
+    fn summary(&self) -> String {
+        format!("{} rows, label {:?}", self.rows.len(), self.label)
     }
 }
 
-/// The journal key of work item `item` under a spec with fingerprint
-/// `sig`: name + signature pin the exact campaign configuration, so a
-/// shared or stale journal never cross-replays between campaigns.
-pub fn journal_key(name: &str, sig: u64, item: usize) -> String {
-    format!("campaign:{name}:{sig:016x}:item={item:06}")
-}
-
-/// Run one shard of the campaign: expand the spec, keep the items the
-/// shard owns, and enumerate each pending one in checkpointed windows,
-/// streaming every completed [`ItemResult`] (replayed from the journal
-/// first, then freshly computed, each exactly once) through `emit`.
-/// Returns the number of results emitted — always the shard's full item
-/// count on success, whatever mix of replay and recompute produced them.
-pub fn run_shard(
+/// Run one shard of a campaign of kind `R`: expand the spec, keep the
+/// items the shard owns, and compute each pending one through the
+/// journalled runner, streaming every completed result (replayed from
+/// the journal first, then freshly computed, each exactly once) through
+/// `emit`. Returns the number of results emitted — always the shard's
+/// full item count on success, whatever mix of replay and recompute
+/// produced them. A spec of the other kind is an error.
+///
+/// Journal keys are `<prefix>:<name>:<signature>:item=<index>`, with
+/// prefix `campaign` or `slo`: name and signature pin the exact campaign
+/// configuration, so a shared or stale journal never cross-replays
+/// between campaigns or kinds.
+pub fn run_shard<R: CampaignResult>(
     spec: &CampaignSpec,
     shard: Shard,
     threads: usize,
     journal: Option<&Path>,
-    mut emit: impl FnMut(&ItemResult),
+    mut emit: impl FnMut(&R),
 ) -> Result<usize, String> {
-    let exps = spec.expand().map_err(|e| e.to_string())?;
-    let owned: Vec<WorkItem> = work_items(&exps)
+    let (ctx, items) = R::items(spec)?;
+    let owned: Vec<(usize, R::Item)> = items
         .into_iter()
-        .filter(|wi| shard.owns(wi.item))
+        .enumerate()
+        .filter(|(i, _)| shard.owns(*i))
         .collect();
     let sig = spec.signature();
-    let key = |wi: &WorkItem| journal_key(&spec.name, sig, wi.item);
-    let expected: HashSet<String> = owned.iter().map(key).collect();
-    let mut emitted = 0usize;
-    let mut ckpt = match journal {
-        Some(path) => Some(
-            Checkpoint::open(path, |k, value| {
-                if !expected.contains(k) {
-                    return false; // different campaign or shard sharing the file
-                }
-                match ItemResult::from_value(value) {
-                    Ok(r) => {
-                        emitted += 1;
-                        emit(&r);
-                        true
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: checkpoint: record {k} does not decode ({e}); recomputing"
-                        );
-                        false
-                    }
-                }
-            })
-            .map_err(|e| format!("checkpoint: {e}"))?,
-        ),
-        None => None,
+    let key = |(i, _): &(usize, R::Item)| {
+        format!("{}:{}:{sig:016x}:item={i:06}", R::KEY_PREFIX, spec.name)
     };
-    resume_chunks(
+    run_journalled(
         &owned,
-        threads,
-        window_for(threads),
-        &mut ckpt,
         key,
-        |wi| compute_item(&exps, wi),
-        |_, r: ItemResult| {
-            emitted += 1;
-            emit(&r);
-        },
+        threads,
+        journal,
+        |(_, wi)| R::compute(spec, &ctx, wi),
+        |_, r| emit(&r),
     )
-    .map_err(|e| format!("checkpoint: {e}"))?;
-    Ok(emitted)
+    .map_err(|e| format!("checkpoint: {e}"))
+}
+
+/// Run one shard of `spec` as whichever kind it is — an SLO campaign
+/// when it has a `failure` block, a Pareto campaign otherwise — and
+/// stream each result in its wire form. The one place a spec's kind is
+/// picked for a shard: the worker process and the daemon's shard handler
+/// both run shards through here.
+pub fn run_spec_shard(
+    spec: &CampaignSpec,
+    shard: Shard,
+    threads: usize,
+    journal: Option<&Path>,
+    mut emit: impl FnMut(Value),
+) -> Result<usize, String> {
+    if spec.failure.is_some() {
+        run_shard::<SloItemResult>(spec, shard, threads, journal, |r| emit(r.to_value()))
+    } else {
+        run_shard::<ItemResult>(spec, shard, threads, journal, |r| emit(r.to_value()))
+    }
+}
+
+/// The line that ends a worker's stream,
+/// `{"done":true,"shard":"K/N","items":N}`: it tells a clean finish from
+/// a crash mid-shard. The worker writes it and the coordinator reads it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ShardDone {
+    /// Always `true`.
+    pub done: bool,
+    /// The shard, as `K/N`.
+    pub shard: String,
+    /// Results the worker streamed before this line.
+    pub items: u64,
 }
 
 /// The worker-process entry point behind `ltf-campaign campaign-worker`:
 /// load the spec, run the shard, and stream the wire form the coordinator
-/// consumes — one JSON line per [`ItemResult`], each flushed as soon as
-/// it completes, then the final
-/// `{"done":true,"shard":"K/N","items":N}` line that distinguishes a
-/// clean finish from a crash mid-shard.
+/// consumes — one JSON line per result, each flushed as soon as it
+/// completes, then the [`ShardDone`] line.
 pub fn worker_main(
     spec_path: &Path,
     shard: Shard,
@@ -188,17 +220,13 @@ pub fn worker_main(
     out: &mut impl Write,
 ) -> Result<usize, String> {
     let spec = CampaignSpec::load(spec_path).map_err(|e| e.to_string())?;
-    if spec.failure.is_some() {
-        // An SLO campaign: same wire, same supervision, different items.
-        return super::slo::slo_worker_main(&spec, shard, threads, journal, out);
-    }
     let abort_marker = std::env::var_os(ABORT_ENV).map(std::path::PathBuf::from);
     let mut io_err: Option<String> = None;
-    let emitted = run_shard(&spec, shard, threads, journal, |r| {
+    let emitted = run_spec_shard(&spec, shard, threads, journal, |r| {
         if io_err.is_some() {
             return;
         }
-        let line = serde_json::to_string(r).expect("value writer is infallible");
+        let line = serde_json::to_string(&r).expect("value writer is infallible");
         if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
             io_err = Some(format!("worker stdout: {e}"));
             return;
@@ -217,11 +245,11 @@ pub fn worker_main(
     if let Some(e) = io_err {
         return Err(e);
     }
-    let done = serde::Value::Map(vec![
-        ("done".to_string(), serde::Value::Bool(true)),
-        ("shard".to_string(), serde::Value::Str(shard.to_string())),
-        ("items".to_string(), serde::Value::UInt(emitted as u64)),
-    ]);
+    let done = ShardDone {
+        done: true,
+        shard: shard.to_string(),
+        items: emitted as u64,
+    };
     let line = serde_json::to_string(&done).expect("value writer is infallible");
     writeln!(out, "{line}")
         .and_then(|()| out.flush())

@@ -1,13 +1,14 @@
-//! Streamed, resumable JSON-lines journals for long-running sweeps.
+//! Streamed, resumable JSON-lines journals, and [`run_journalled`], the
+//! one runner every journalled command goes through.
 //!
-//! Every long-running `ltf-experiments` subcommand can journal its
-//! per-work-item results to a `--checkpoint FILE` as it goes: one JSON
-//! object per line, `{"key": "<work item>", "record": <payload>}`,
-//! flushed after every write. Restarting the same command with the same
-//! file **replays** the completed records (the caller re-aggregates or
-//! re-emits them) and recomputes only the missing work items, so a killed
-//! thousand-instance sweep loses at most one window of work instead of
-//! everything.
+//! The `fig3`/`fig4`, `scaling`, `pareto` and `slo` commands and every
+//! campaign shard journal their per-work-item results to a
+//! `--checkpoint FILE` as they go: one JSON object per line, `{"key":
+//! "<work item>", "record": <payload>}`, flushed after every write.
+//! Restarting the same command with the same file **replays** the
+//! completed records and recomputes only the missing work items, so a
+//! killed thousand-instance sweep loses at most one window of work, and
+//! resume equals rerun for every journalled command.
 //!
 //! Robustness against kills: a process killed mid-write leaves a
 //! truncated final line. [`Checkpoint::open`] detects it, warns, truncates
@@ -15,13 +16,11 @@
 //! journal is always a clean prefix of the uninterrupted run.
 //!
 //! Memory stays bounded by construction: replay is streamed line by line
-//! through a caller callback (nothing is retained here), and
-//! [`resume_chunks`] computes pending items in fixed-size windows,
-//! recording and handing each window to the caller before the next one
-//! starts.
+//! (nothing is retained here), and pending items are computed one window
+//! at a time, each window recorded and handed on before the next starts.
 
 use ltf_core::par::parallel_map;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, Write};
@@ -30,7 +29,8 @@ use std::path::{Path, PathBuf};
 /// An append-only JSON-lines journal of completed work items.
 ///
 /// ```
-/// use ltf_experiments::checkpoint::{as_u64, Checkpoint};
+/// use ltf_experiments::checkpoint::Checkpoint;
+/// use serde::Deserialize;
 ///
 /// let path = std::env::temp_dir().join(format!("ckpt-doc-{}.jsonl", std::process::id()));
 /// let _ = std::fs::remove_file(&path);
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 /// // Resume: the completed records replay instead of recomputing.
 /// let mut replayed = Vec::new();
 /// let ckpt = Checkpoint::open(&path, |key, record| {
-///     replayed.push((key.to_string(), as_u64(record).unwrap()));
+///     replayed.push((key.to_string(), u64::from_value(record).unwrap()));
 ///     true // accepted → the key joins the done-set
 /// }).unwrap();
 /// assert_eq!(replayed, [("item=0".to_string(), 7), ("item=1".to_string(), 8)]);
@@ -63,7 +63,7 @@ impl Checkpoint {
     /// complete record already in it through `replay(key, record)`.
     ///
     /// `replay` returns whether it **accepted** the record. Only accepted
-    /// keys enter the done-set (and are skipped by [`resume_chunks`]):
+    /// keys enter the done-set (and are skipped by [`run_journalled`]):
     /// a record the caller cannot decode — schema drift, or a record
     /// belonging to a different run configuration sharing the journal —
     /// stays pending and is simply recomputed (and re-appended; on later
@@ -101,8 +101,8 @@ impl Checkpoint {
                 }
                 let parsed = std::str::from_utf8(&buf[..buf.len() - 1])
                     .ok()
-                    .and_then(parse_record);
-                let Some((key, record)) = parsed else {
+                    .and_then(|line| serde_json::from_str(line).ok());
+                let Some(Line { key, record }) = parsed else {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
@@ -156,8 +156,11 @@ impl Checkpoint {
     /// Append one completed work item and flush it to the OS, so a kill
     /// directly after costs nothing.
     pub fn record<T: Serialize + ?Sized>(&mut self, key: &str, payload: &T) -> io::Result<()> {
-        let line = serde_json::to_string(&Record { key, payload })
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let line = serde_json::to_string(&Line {
+            key: key.to_string(),
+            record: payload.to_value(),
+        })
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.out.write_all(line.as_bytes())?;
         self.out.write_all(b"\n")?;
         self.out.flush()?;
@@ -166,114 +169,102 @@ impl Checkpoint {
     }
 }
 
-struct Record<'a, T: ?Sized> {
-    key: &'a str,
-    payload: &'a T,
+/// One journal line. Read back, the payload stays a [`Value`] until the
+/// run decodes it as its own record type.
+#[derive(Serialize, Deserialize)]
+struct Line {
+    key: String,
+    record: Value,
 }
 
-impl<T: Serialize + ?Sized> Serialize for Record<'_, T> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("key".to_string(), Value::Str(self.key.to_string())),
-            ("record".to_string(), self.payload.to_value()),
-        ])
+/// Work items in flight per window: enough to keep every worker busy,
+/// small enough to bound both memory and the work a kill can lose. A
+/// serial run gains nothing from batching, so it journals every item as
+/// soon as it completes.
+pub fn window_for(threads: usize) -> usize {
+    if threads > 1 {
+        (threads * 4).max(16)
+    } else {
+        1
     }
 }
 
-/// Parse one journal line into `(key, record)`.
-fn parse_record(line: &str) -> Option<(String, Value)> {
-    let v = serde_json::from_str(line).ok()?;
-    let key = field(&v, "key").and_then(as_str)?.to_string();
-    let record = field(&v, "record")?.clone();
-    Some((key, record))
-}
-
-/// Drive `compute` over every item whose `key` is not yet journalled, in
-/// windows of `window` items on `threads` workers. Results are recorded
-/// (journal + done-set) and handed to `consume` **in item order** within
-/// each window, so the journal — and any output derived from it — is a
-/// deterministic prefix of the uninterrupted run no matter where a kill
-/// lands. Items already completed are skipped entirely; their records
-/// were replayed when the checkpoint was opened. With `ckpt = None` this
-/// degrades to a windowed parallel map (same output, no journal).
-pub fn resume_chunks<I, T, K, C, U>(
+/// Run `compute` over `items`, journalled to `journal` when one is given,
+/// and hand each result to `emit(key, record)` once per distinct key.
+/// Returns the number of records emitted.
+///
+/// * **Replay.** A journal record replays when its key is one of
+///   `items`' keys and its payload decodes as `T`; replayed records are
+///   emitted first, in journal order. A record under another key (another
+///   sweep, configuration or shard sharing the file) is skipped; one that
+///   does not decode draws a warning and its item is recomputed.
+/// * **Compute.** The remaining items run in windows of
+///   [`window_for`]`(threads)` on `threads` workers; each window is
+///   journalled and emitted in item order before the next starts, so the
+///   journal and the emitted stream are a deterministic prefix of the
+///   uninterrupted run wherever a kill lands.
+/// * **Shared keys.** Items with equal keys are one unit of work,
+///   computed and journalled once; callers look the record up by key.
+///
+/// With `journal = None` this is a windowed parallel map with the same
+/// emitted stream.
+pub fn run_journalled<I, T>(
     items: &[I],
+    key: impl Fn(&I) -> String,
     threads: usize,
-    window: usize,
-    ckpt: &mut Option<Checkpoint>,
-    key: K,
-    compute: C,
-    mut consume: U,
-) -> io::Result<()>
+    journal: Option<&Path>,
+    compute: impl Fn(&I) -> T + Sync,
+    mut emit: impl FnMut(&str, T),
+) -> io::Result<usize>
 where
     I: Sync,
-    T: Send + Serialize,
-    K: Fn(&I) -> String,
-    C: Fn(&I) -> T + Sync,
-    U: FnMut(&I, T),
+    T: Serialize + Deserialize + Send,
 {
-    let pending: Vec<&I> = items
+    let keys: Vec<String> = items.iter().map(key).collect();
+    let mut emitted = 0usize;
+    let mut ckpt = match journal {
+        Some(path) => {
+            let ours: HashSet<&str> = keys.iter().map(String::as_str).collect();
+            Some(Checkpoint::open(path, |key, record| {
+                if !ours.contains(key) {
+                    return false;
+                }
+                match T::from_value(record) {
+                    Ok(t) => {
+                        emitted += 1;
+                        emit(key, t);
+                        true
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "warning: checkpoint {}: record {key} does not decode ({e}); \
+                             recomputing",
+                            path.display()
+                        );
+                        false
+                    }
+                }
+            })?)
+        }
+        None => None,
+    };
+    let mut seen: HashSet<&str> = HashSet::new();
+    let pending: Vec<(&I, &str)> = items
         .iter()
-        .filter(|i| !ckpt.as_ref().is_some_and(|c| c.contains(&key(i))))
+        .zip(keys.iter().map(String::as_str))
+        .filter(|&(_, k)| !ckpt.as_ref().is_some_and(|c| c.contains(k)) && seen.insert(k))
         .collect();
-    for chunk in pending.chunks(window.max(1)) {
-        let outs = parallel_map(chunk, threads, |i| compute(i));
-        for (i, t) in chunk.iter().zip(outs) {
+    for window in pending.chunks(window_for(threads)) {
+        let outs = parallel_map(window, threads, |&(item, _)| compute(item));
+        for (&(_, k), t) in window.iter().zip(outs) {
             if let Some(c) = ckpt.as_mut() {
-                c.record(&key(i), &t)?;
+                c.record(k, &t)?;
             }
-            consume(i, t);
+            emitted += 1;
+            emit(k, t);
         }
     }
-    Ok(())
-}
-
-// ---- Value-access helpers for replay decoding -------------------------
-//
-// The vendored serde is serialize-first: replay hands back [`Value`]
-// trees, and each record type decodes itself with these accessors.
-
-/// Look up a map field by name.
-pub fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    match v {
-        Value::Map(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Numeric coercion: any of the three number variants as `f64`.
-pub fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-/// Unsigned coercion (rejects negatives and non-integers).
-pub fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) => (*i >= 0).then_some(*i as u64),
-        _ => None,
-    }
-}
-
-/// String access.
-pub fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-/// Bool access.
-pub fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
+    Ok(emitted)
 }
 
 #[cfg(test)]
@@ -288,7 +279,7 @@ mod tests {
         path
     }
 
-    #[derive(serde::Serialize)]
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
     struct Row {
         seed: u64,
         val: f64,
@@ -305,11 +296,8 @@ mod tests {
         }
         let mut seen = Vec::new();
         let ck = Checkpoint::open(&path, |k, v| {
-            seen.push((
-                k.to_string(),
-                as_u64(field(v, "seed").unwrap()).unwrap(),
-                as_f64(field(v, "val").unwrap()).unwrap(),
-            ));
+            let row = Row::from_value(v).unwrap();
+            seen.push((k.to_string(), row.seed, row.val));
             true
         })
         .unwrap();
@@ -412,7 +400,7 @@ mod tests {
         }
         let mut vals = Vec::new();
         let ck = Checkpoint::open(&path, |_, v| {
-            vals.push(as_f64(field(v, "val").unwrap()).unwrap());
+            vals.push(Row::from_value(v).unwrap().val);
             true
         })
         .unwrap();
@@ -431,48 +419,48 @@ mod tests {
 
     #[test]
     fn resume_chunks_skips_done_items() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let path = tmp("chunks");
-        let items: Vec<u64> = (0..10).collect();
-        let key = |i: &u64| format!("item-{i}");
+        // 40 items on 4 threads: three windows of `window_for(4)` = 16.
+        let items: Vec<u64> = (0..40).collect();
+        assert!(items.len() > 2 * window_for(4));
+        let row = |i: &u64| Row {
+            seed: *i,
+            val: *i as f64,
+        };
+        let want: Vec<Row> = items.iter().map(row).collect();
+        // One run over the journal: (items computed, records emitted).
+        let run = || {
+            let computed = AtomicUsize::new(0);
+            let mut out = Vec::new();
+            let compute = |i: &u64| {
+                computed.fetch_add(1, Ordering::Relaxed);
+                row(i)
+            };
+            let key = |i: &u64| format!("item-{i}");
+            let emitted =
+                run_journalled(&items, key, 4, Some(&path), compute, |_, r| out.push(r)).unwrap();
+            assert_eq!(emitted, out.len());
+            (computed.into_inner(), out)
+        };
         // First run: compute everything.
-        let mut ck = Some(Checkpoint::open(&path, |_, _| true).unwrap());
-        let mut order = Vec::new();
-        resume_chunks(
-            &items,
-            4,
-            3,
-            &mut ck,
-            key,
-            |i| Row {
-                seed: *i,
-                val: *i as f64,
-            },
-            |i, _| order.push(*i),
-        )
-        .unwrap();
-        assert_eq!(order, items, "consume order must match item order");
-        // Second run: everything is replayed, nothing recomputed.
-        let mut replayed = 0;
-        let mut ck = Some(
-            Checkpoint::open(&path, |_, _| {
-                replayed += 1;
-                true
-            })
-            .unwrap(),
-        );
-        let mut computed = Vec::new();
-        resume_chunks(
-            &items,
-            4,
-            3,
-            &mut ck,
-            key,
-            |i| Row { seed: *i, val: 0.0 },
-            |i, _| computed.push(*i),
-        )
-        .unwrap();
-        assert_eq!(replayed, 10);
-        assert!(computed.is_empty(), "no pending work after a full run");
+        let (computed, order) = run();
+        assert_eq!(computed, 40);
+        assert_eq!(order, want, "consume order must match item order");
+        // Interrupt after the first window: only the rest is recomputed,
+        // the emitted stream is still the items in order, and the journal
+        // ends up as the uninterrupted run's.
+        let full = std::fs::read_to_string(&path).unwrap();
+        let first_window: String = full.split_inclusive('\n').take(16).collect();
+        std::fs::write(&path, &first_window).unwrap();
+        let (computed, resumed) = run();
+        assert_eq!(computed, 24, "only the pending windows recompute");
+        assert_eq!(resumed, want, "resumed order must match item order");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
+        // Third run: everything is replayed, nothing recomputed.
+        let (computed, replayed) = run();
+        assert_eq!(computed, 0, "no pending work after a full run");
+        assert_eq!(replayed, want, "replayed in journal order");
         std::fs::remove_file(&path).unwrap();
     }
 }

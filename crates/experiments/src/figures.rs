@@ -9,7 +9,7 @@
 //! * panel (c) — fault-tolerance overhead (%) against the fault-free
 //!   reference schedule: `(L_algo − L_FF) / L_FF`.
 
-use crate::checkpoint::{resume_chunks, Checkpoint};
+use crate::checkpoint::run_journalled;
 use crate::runner::{measure_instance, RunRecord};
 use crate::stats::{Figure, Series, SeriesPoint};
 use crate::workload::PaperWorkload;
@@ -91,10 +91,10 @@ pub fn sweep(epsilon: u8, crashes: usize, cfg: &SweepConfig) -> SweepData {
 /// [`sweep`] with an optional `--checkpoint` journal: every completed
 /// `(granularity, seed)` work item (its three records: LTF, R-LTF, FF) is
 /// journalled as soon as its window completes, and a restart with the
-/// same journal replays completed items instead of re-measuring them.
-/// Records are assembled in seed order per granularity whether they were
-/// replayed or fresh, so a resumed sweep produces the same `SweepData`
-/// as an uninterrupted one.
+/// same journal replays completed items instead of re-measuring them
+/// (through [`run_journalled`]). Records are assembled in seed order per
+/// granularity whether they were replayed or fresh, so a resumed sweep
+/// produces the same `SweepData` as an uninterrupted one.
 pub fn sweep_checkpointed(
     epsilon: u8,
     crashes: usize,
@@ -118,80 +118,50 @@ pub fn sweep_checkpointed(
             .map(|k| cfg.seed ^ (gi as u64) << 32 ^ (epsilon as u64) << 48 ^ k as u64)
             .collect()
     };
-    let expected: std::collections::HashSet<String> = cfg
+    let workloads: Vec<PaperWorkload> = cfg
+        .granularities
+        .iter()
+        .map(|&granularity| PaperWorkload {
+            epsilon,
+            granularity,
+            utilization: cfg.utilization,
+            ..Default::default()
+        })
+        .collect();
+    let items: Vec<(usize, u64)> = (0..cfg.granularities.len())
+        .flat_map(|gi| seeds_at(gi).into_iter().map(move |s| (gi, s)))
+        .collect();
+    let mut done: HashMap<String, Vec<RunRecord>> = HashMap::new();
+    run_journalled(
+        &items,
+        |&(gi, s)| keyed(cfg.granularities[gi], s),
+        cfg.threads,
+        journal,
+        |&(gi, s)| measure_instance(&workloads[gi], s, crashes, cfg.crash_draws),
+        |key, recs| {
+            done.insert(key.to_string(), recs);
+        },
+    )?;
+    let by_granularity = cfg
         .granularities
         .iter()
         .enumerate()
-        .flat_map(|(gi, &g)| seeds_at(gi).into_iter().map(move |s| keyed(g, s)))
+        .map(|(gi, &g)| {
+            let recs = seeds_at(gi)
+                .into_iter()
+                .flat_map(|s| {
+                    done.remove(&keyed(g, s))
+                        .expect("every item ran or replayed")
+                })
+                .collect();
+            (g, recs)
+        })
         .collect();
-    let mut replayed: HashMap<String, Vec<RunRecord>> = HashMap::new();
-    let mut ckpt = match journal {
-        Some(path) => Some(Checkpoint::open(path, |key, value| {
-            if !expected.contains(key) {
-                return false; // another sweep/config's records share the journal
-            }
-            let serde::Value::Seq(items) = value else {
-                eprintln!("warning: checkpoint: record {key} has the wrong shape; recomputing");
-                return false;
-            };
-            let recs: Option<Vec<RunRecord>> = items.iter().map(RunRecord::from_value).collect();
-            match recs {
-                Some(recs) => {
-                    replayed.insert(key.to_string(), recs);
-                    true
-                }
-                None => {
-                    eprintln!("warning: checkpoint: record {key} does not decode; recomputing");
-                    false
-                }
-            }
-        })?),
-        None => None,
-    };
-    let mut by_granularity = Vec::with_capacity(cfg.granularities.len());
-    for (gi, &g) in cfg.granularities.iter().enumerate() {
-        let wl = PaperWorkload {
-            epsilon,
-            granularity: g,
-            utilization: cfg.utilization,
-            ..Default::default()
-        };
-        let seeds = seeds_at(gi);
-        let mut fresh: HashMap<u64, Vec<RunRecord>> = HashMap::new();
-        resume_chunks(
-            &seeds,
-            cfg.threads,
-            window_for(cfg.threads),
-            &mut ckpt,
-            |s| keyed(g, *s),
-            |s| measure_instance(&wl, *s, crashes, cfg.crash_draws),
-            |s, recs| {
-                fresh.insert(*s, recs);
-            },
-        )?;
-        let recs: Vec<RunRecord> = seeds
-            .iter()
-            .flat_map(|s| {
-                fresh
-                    .remove(s)
-                    .or_else(|| replayed.remove(&keyed(g, *s)))
-                    .expect("every seed is fresh or replayed")
-            })
-            .collect();
-        by_granularity.push((g, recs));
-    }
     Ok(SweepData {
         epsilon,
         crashes,
         by_granularity,
     })
-}
-
-/// Window of in-flight work items per [`resume_chunks`] call: enough to
-/// keep every worker busy, small enough to bound both memory and the
-/// work a kill can lose.
-pub fn window_for(threads: usize) -> usize {
-    (threads.max(1) * 4).max(16)
 }
 
 fn collect<'a>(recs: &'a [RunRecord], algo: &'a str) -> impl Iterator<Item = &'a RunRecord> + 'a {

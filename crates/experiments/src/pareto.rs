@@ -5,8 +5,7 @@
 //! thousands-of-instances [`workload_sweep`] with streamed, checkpointed
 //! output.
 
-use crate::checkpoint::{resume_chunks, Checkpoint};
-use crate::figures::window_for;
+use crate::checkpoint::run_journalled;
 use crate::workload::{gen_instance, PaperWorkload};
 use ltf_baselines::full_solver;
 use ltf_core::search::pareto::{pareto_front, pareto_front_all, ParetoOptions, ParetoPoint};
@@ -230,12 +229,14 @@ pub struct WorkloadSweepConfig {
 /// original order) and only pending instances are recomputed — so a
 /// killed sweep resumes without losing more than one window of work, and
 /// the emitted row sequence is identical to an uninterrupted run's. At
-/// no point are more than `window_for(threads)` instances' rows held in
-/// memory.
+/// no point are more than [`window_for`]`(threads)` instances' rows held
+/// in memory.
 ///
 /// Every fresh witness is re-validated against its platform prefix before
 /// its row is journalled or emitted; a validation failure is a scheduler
-/// bug and returns an error naming the instance.
+/// bug and panics naming the instance.
+///
+/// [`window_for`]: crate::checkpoint::window_for
 pub fn workload_sweep(
     cfg: &WorkloadSweepConfig,
     journal: Option<&Path>,
@@ -259,42 +260,10 @@ pub fn workload_sweep(
         o.iterations,
         o.seed
     );
-    let keyed = |seed: u64| format!("pareto:{sig}:seed={seed:#018x}");
+    let keyed = |seed: &u64| format!("pareto:{sig}:seed={seed:#018x}");
     let seeds: Vec<u64> = (0..cfg.instances as u64)
         .map(|k| cfg.seed.wrapping_add(k))
         .collect();
-    let expected: std::collections::HashSet<String> = seeds.iter().map(|s| keyed(*s)).collect();
-    let mut emitted = 0usize;
-    let mut ckpt = match journal {
-        Some(path) => Some(
-            Checkpoint::open(path, |key, value| {
-                if !expected.contains(key) {
-                    return false; // another run configuration shares the journal
-                }
-                let serde::Value::Seq(rows) = value else {
-                    eprintln!("warning: checkpoint: record {key} has the wrong shape; recomputing");
-                    return false;
-                };
-                let decoded: Option<Vec<FrontRow>> =
-                    rows.iter().map(|r| FrontRow::from_value(r).ok()).collect();
-                match decoded {
-                    Some(rows) => {
-                        for row in &rows {
-                            emitted += 1;
-                            emit(row);
-                        }
-                        true
-                    }
-                    None => {
-                        eprintln!("warning: checkpoint: record {key} does not decode; recomputing");
-                        false
-                    }
-                }
-            })
-            .map_err(|e| format!("checkpoint: {e}"))?,
-        ),
-        None => None,
-    };
     let wl = PaperWorkload {
         utilization: cfg.utilization,
         ..Default::default()
@@ -328,20 +297,13 @@ pub fn workload_sweep(
         }
         front.iter().map(|pt| FrontRow::new(*seed, pt)).collect()
     };
-    resume_chunks(
-        &seeds,
-        cfg.threads,
-        window_for(cfg.threads),
-        &mut ckpt,
-        |s| keyed(*s),
-        compute,
-        |_, rows| {
-            for row in &rows {
-                emitted += 1;
-                emit(row);
-            }
-        },
-    )
+    let mut emitted = 0usize;
+    run_journalled(&seeds, keyed, cfg.threads, journal, compute, |_, rows| {
+        for row in &rows {
+            emitted += 1;
+            emit(row);
+        }
+    })
     .map_err(|e| format!("checkpoint: {e}"))?;
     Ok(emitted)
 }

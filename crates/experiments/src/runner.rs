@@ -6,11 +6,11 @@ use ltf_core::{AlgoConfig, FaultFree, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_schedule::{failures, CrashSet, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Everything measured on one (instance, algorithm) pair.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Instance seed.
     pub seed: u64,
@@ -40,34 +40,6 @@ pub struct RunRecord {
     pub procs_used: usize,
     /// Scheduling wall time in microseconds.
     pub sched_micros: u64,
-}
-
-impl RunRecord {
-    /// Decode a record replayed from a checkpoint journal (the inverse of
-    /// the `Serialize` derive; the vendored serde is serialize-first, so
-    /// each journalled type decodes its own [`serde::Value`] tree).
-    /// `None` when a field is missing or has the wrong shape.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
-        use crate::checkpoint::{as_bool, as_f64, as_str, as_u64, field};
-        Some(Self {
-            seed: as_u64(field(v, "seed")?)?,
-            granularity: as_f64(field(v, "granularity")?)?,
-            epsilon: as_u64(field(v, "epsilon")?)? as u8,
-            algo: as_str(field(v, "algo")?)?.to_string(),
-            feasible: as_bool(field(v, "feasible")?)?,
-            stages: as_u64(field(v, "stages")?)? as u32,
-            latency_ub: as_f64(field(v, "latency_ub")?)?,
-            latency_0: as_f64(field(v, "latency_0")?)?,
-            latency_crash: match field(v, "latency_crash")? {
-                serde::Value::Null => None,
-                other => Some(as_f64(other)?),
-            },
-            crash_losses: as_u64(field(v, "crash_losses")?)? as usize,
-            comms: as_u64(field(v, "comms")?)? as usize,
-            procs_used: as_u64(field(v, "procs_used")?)? as usize,
-            sched_micros: as_u64(field(v, "sched_micros")?)?,
-        })
-    }
 }
 
 /// Measure one heuristic on one instance, with `crash_draws` random crash

@@ -6,17 +6,17 @@
 //! processor count `m`, replication degree `ε`) so the empirical growth
 //! can be compared with the bound.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::run_journalled;
 use crate::workload::{gen_instance, PaperWorkload};
 use ltf_core::par::parallel_map;
 use ltf_core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
 /// One aggregated scaling measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalingPoint {
     /// Task count of the instances.
     pub v: usize,
@@ -32,23 +32,6 @@ pub struct ScalingPoint {
     pub feasible: usize,
     /// Repetitions.
     pub reps: usize,
-}
-
-impl ScalingPoint {
-    /// Decode a point replayed from a checkpoint journal. `None` when a
-    /// field is missing or has the wrong shape.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
-        use crate::checkpoint::{as_f64, as_str, as_u64, field};
-        Some(Self {
-            v: as_u64(field(v, "v")?)? as usize,
-            m: as_u64(field(v, "m")?)? as usize,
-            epsilon: as_u64(field(v, "epsilon")?)? as u8,
-            algo: as_str(field(v, "algo")?)?.to_string(),
-            micros: as_f64(field(v, "micros")?)?,
-            feasible: as_u64(field(v, "feasible")?)? as usize,
-            reps: as_u64(field(v, "reps")?)? as usize,
-        })
-    }
 }
 
 /// Configuration for [`scaling_sweep`].
@@ -138,25 +121,18 @@ pub fn scaling_sweep(cfg: &ScalingConfig) -> Vec<ScalingPoint> {
     scaling_sweep_checkpointed(cfg, None).expect("no journal, no I/O to fail")
 }
 
-/// [`scaling_sweep`] with an optional `--checkpoint` journal: each
-/// `(algo, v, m, ε)` point is journalled as soon as it is measured, and a
-/// restart replays completed points instead of re-measuring them (the
-/// reps *inside* a point still run on `cfg.threads` workers). Replayed
-/// timings are reused verbatim — a resumed sweep reports the measurements
-/// of the run that made them.
+/// [`scaling_sweep`] with an optional `--checkpoint` journal: each point
+/// is journalled as soon as it is measured, and a restart replays
+/// completed points instead of re-measuring them (through
+/// [`run_journalled`]). Replayed timings are reused verbatim — a resumed
+/// sweep reports the measurements of the run that made them. A point that
+/// sits in several sweeps (the `v = 100, m = 20, ε = 1` centre is in all
+/// three by default) is measured and journalled once and reported at
+/// each of its positions.
 pub fn scaling_sweep_checkpointed(
     cfg: &ScalingConfig,
     journal: Option<&Path>,
 ) -> std::io::Result<Vec<ScalingPoint>> {
-    // The key pins everything the point depends on (including the base
-    // seed and the rep count): a journal shared across configurations
-    // only ever replays records measured under identical parameters.
-    let keyed = |label: &str, v: usize, m: usize, eps: u8| {
-        format!(
-            "scaling:{label}:v={v}:m={m}:eps={eps}:reps={}:seed={:#x}",
-            cfg.reps, cfg.seed
-        )
-    };
     let mut combos: Vec<(Algo, usize, usize, u8)> = Vec::new();
     for algo in ALGOS {
         for &v in &cfg.task_counts {
@@ -169,45 +145,30 @@ pub fn scaling_sweep_checkpointed(
             combos.push((algo, 100, 20, eps));
         }
     }
-    let expected: std::collections::HashSet<String> = combos
-        .iter()
-        .map(|&((label, _), v, m, eps)| keyed(label, v, m, eps))
-        .collect();
-    let mut replayed: HashMap<String, ScalingPoint> = HashMap::new();
-    let mut ckpt = match journal {
-        Some(path) => Some(Checkpoint::open(path, |key, value| {
-            if !expected.contains(key) {
-                return false; // another sweep/config's records share the journal
-            }
-            match ScalingPoint::from_value(value) {
-                Some(pt) => {
-                    replayed.insert(key.to_string(), pt);
-                    true
-                }
-                None => {
-                    eprintln!("warning: checkpoint: record {key} does not decode; re-measuring");
-                    false
-                }
-            }
-        })?),
-        None => None,
+    // The key pins everything the point depends on (including the base
+    // seed and the rep count): a journal shared across configurations
+    // only ever replays records measured under identical parameters.
+    let key = |&((label, _), v, m, eps): &(Algo, usize, usize, u8)| {
+        format!(
+            "scaling:{label}:v={v}:m={m}:eps={eps}:reps={}:seed={:#x}",
+            cfg.reps, cfg.seed
+        )
     };
-    let mut out = Vec::with_capacity(combos.len());
-    for (algo, v, m, eps) in combos {
-        let key = keyed(algo.0, v, m, eps);
-        let pt = match replayed.remove(&key) {
-            Some(pt) => pt,
-            None => {
-                let pt = measure_point(v, m, eps, algo, cfg);
-                if let Some(c) = ckpt.as_mut() {
-                    c.record(&key, &pt)?;
-                }
-                pt
-            }
-        };
-        out.push(pt);
-    }
-    Ok(out)
+    let mut done: HashMap<String, ScalingPoint> = HashMap::new();
+    // One point at a time: the reps inside a point already run on
+    // `cfg.threads` workers, and concurrent points would skew each
+    // other's timings.
+    run_journalled(
+        &combos,
+        key,
+        1,
+        journal,
+        |&(algo, v, m, eps)| measure_point(v, m, eps, algo, cfg),
+        |k, pt| {
+            done.insert(k.to_string(), pt);
+        },
+    )?;
+    Ok(combos.iter().map(|c| done[&key(c)].clone()).collect())
 }
 
 /// Render scaling points as an aligned text table.

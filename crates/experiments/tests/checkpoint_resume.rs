@@ -2,13 +2,19 @@
 //! mid-way (journal chopped inside a record, the on-disk signature of a
 //! `SIGKILL` during a write) and resumed must produce exactly the same
 //! records as an uninterrupted run — and must not re-journal (i.e. not
-//! recompute) the work items that were already complete.
+//! recompute) the work items that were already complete. A journal record
+//! that no longer decodes is recomputed by every journalled command.
 
 use ltf_core::search::pareto::ParetoOptions;
+use ltf_core::shard::Shard;
+use ltf_experiments::campaign::{run_shard, CampaignSpec, ItemResult, SloItemResult};
+use ltf_experiments::checkpoint::{run_journalled, window_for};
 use ltf_experiments::figures::{sweep_checkpointed, SweepConfig};
 use ltf_experiments::pareto::{workload_sweep, FrontRow, WorkloadSweepConfig};
-use ltf_experiments::scaling::{scaling_sweep_checkpointed, ScalingConfig};
-use std::path::PathBuf;
+use ltf_experiments::runner::RunRecord;
+use ltf_experiments::scaling::{scaling_sweep_checkpointed, ScalingConfig, ScalingPoint};
+use serde::{Deserialize, Value};
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ltf-resume-tests");
@@ -243,4 +249,317 @@ fn scaling_sweep_resumes_identically() {
         // measuring run's value, fresh points re-measure — both are fine.
     }
     std::fs::remove_file(&journal).unwrap();
+}
+
+#[test]
+fn scaling_centre_point_is_measured_once_and_resumes() {
+    // Regression: with one value per axis, (v = 100, m = 20, ε = 1) sits
+    // in all three sweeps. It used to be measured and journalled at every
+    // position (6 records), and a rerun on the complete journal
+    // re-measured two positions per algorithm and grew the journal.
+    let cfg = ScalingConfig {
+        task_counts: vec![100],
+        proc_counts: vec![20],
+        epsilons: vec![1],
+        reps: 1,
+        threads: 1,
+        ..Default::default()
+    };
+    let journal = tmp("scaling-centre");
+    let lines = || std::fs::read_to_string(&journal).unwrap().lines().count();
+    let micros =
+        |pts: &[ScalingPoint]| -> Vec<u64> { pts.iter().map(|p| p.micros.to_bits()).collect() };
+
+    let first = scaling_sweep_checkpointed(&cfg, Some(&journal)).unwrap();
+    assert_eq!(first.len(), 6, "the table keeps one row per sweep position");
+    assert_eq!(lines(), 2, "one record per algorithm");
+    for algo in first.chunks(3) {
+        assert!(
+            algo.iter()
+                .all(|p| p.micros.to_bits() == algo[0].micros.to_bits()),
+            "one measurement reused at every position"
+        );
+    }
+
+    let again = scaling_sweep_checkpointed(&cfg, Some(&journal)).unwrap();
+    assert_eq!(
+        micros(&again),
+        micros(&first),
+        "a rerun replays, not re-measures"
+    );
+    assert_eq!(lines(), 2, "a rerun journals nothing");
+    std::fs::remove_file(&journal).unwrap();
+}
+
+#[test]
+fn serial_runs_journal_every_item() {
+    // A serial run gains nothing from batching: each item is journalled
+    // before the next one runs, so a kill loses at most the one in flight.
+    assert_eq!(window_for(0), 1);
+    assert_eq!(window_for(1), 1);
+    assert_eq!(window_for(2), 16);
+    let path = tmp("serial");
+    let items: Vec<u64> = (0..3).collect();
+    let lines = || std::fs::read_to_string(&path).map_or(0, |t| t.lines().count());
+    let seen = std::sync::Mutex::new(Vec::new());
+    run_journalled(
+        &items,
+        |i| format!("item-{i}"),
+        1,
+        Some(&path),
+        |i| {
+            seen.lock().unwrap().push(lines());
+            *i
+        },
+        |_, _: u64| {},
+    )
+    .unwrap();
+    assert_eq!(seen.into_inner().unwrap(), [0, 1, 2]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn scaling_resume_measures_only_the_missing_points() {
+    // Scaling runs its points one at a time, so each is journalled as
+    // soon as it is measured: a kill after the first point keeps it.
+    let cfg = ScalingConfig {
+        task_counts: vec![20, 30],
+        proc_counts: vec![4],
+        epsilons: vec![0],
+        reps: 1,
+        threads: 1,
+        ..Default::default()
+    };
+    let journal = tmp("scaling-serial");
+    scaling_sweep_checkpointed(&cfg, Some(&journal)).unwrap();
+    let full = std::fs::read_to_string(&journal).unwrap();
+    let first: Value = serde_json::from_str(full.lines().next().unwrap()).unwrap();
+    let Value::Map(fields) = first else {
+        panic!("journal lines are objects")
+    };
+    let kept = ScalingPoint::from_value(&fields[1].1).unwrap();
+
+    interrupt(&journal, 1);
+    let resumed = scaling_sweep_checkpointed(&cfg, Some(&journal)).unwrap();
+    let after = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(
+        after.lines().count(),
+        full.lines().count(),
+        "each missing point is measured and journalled once"
+    );
+    assert_eq!(after.lines().next(), full.lines().next());
+    let replayed = resumed
+        .iter()
+        .find(|p| (p.v, p.m, p.epsilon, &p.algo) == (kept.v, kept.m, kept.epsilon, &kept.algo))
+        .unwrap();
+    assert_eq!(
+        replayed.micros.to_bits(),
+        kept.micros.to_bits(),
+        "the kept point replays, not re-measures"
+    );
+    std::fs::remove_file(&journal).unwrap();
+}
+
+/// One journalled command under test: how to run it, how to tell whether
+/// a journal record decodes as its record type, and — for commands that
+/// stream their output — which output lines a journal record stands for.
+struct Journalled {
+    name: &'static str,
+    /// Run the command and render its output, wall-clock timings left out.
+    run: fn(Option<&Path>) -> Vec<String>,
+    decodes: fn(&Value) -> bool,
+    /// `Some` for commands that emit replayed records first and recomputed
+    /// ones after (`run_journalled`'s order); `None` for commands that
+    /// assemble their output by key.
+    lines_of: Option<fn(&Value) -> Vec<String>>,
+}
+
+fn journalled_commands() -> Vec<Journalled> {
+    fn seq_lines(v: &Value) -> Vec<String> {
+        match v {
+            Value::Seq(rows) => rows
+                .iter()
+                .map(|r| serde_json::to_string(r).unwrap())
+                .collect(),
+            _ => panic!("record is not a row list"),
+        }
+    }
+    fn one_line(v: &Value) -> Vec<String> {
+        vec![serde_json::to_string(v).unwrap()]
+    }
+    const PARETO_SPEC: &str = r#"{"name":"bogus","graphs":["fig1","fig2-variant"],
+        "heuristics":["rltf","ltf"],"epsilons":[{"max":1}]}"#;
+    const SLO_SPEC: &str = r#"{"name":"bogus-slo","graphs":["fig1"],"heuristics":["rltf"],
+        "epsilons":[{"max":1}],
+        "failure":{"rate":0.003,"traces":6,"items":8,"block":2,"period":30.0,"policy":"reroute"},
+        "slo":{"max_latency":200.0,"max_violation_rate":0.25}}"#;
+    vec![
+        Journalled {
+            name: "figure sweep",
+            run: |journal| {
+                let cfg = SweepConfig {
+                    graphs_per_point: 2,
+                    granularities: vec![0.6, 1.2],
+                    crash_draws: 2,
+                    threads: 2,
+                    ..Default::default()
+                };
+                let data = sweep_checkpointed(1, 1, &cfg, journal).unwrap();
+                data.by_granularity
+                    .iter()
+                    .flat_map(|(g, recs)| {
+                        recs.iter().map(move |r| {
+                            format!(
+                                "{g} {} {} {} {} {} {} {:?} {} {} {}",
+                                r.seed,
+                                r.algo,
+                                r.feasible,
+                                r.stages,
+                                r.latency_ub,
+                                r.latency_0,
+                                r.latency_crash,
+                                r.crash_losses,
+                                r.comms,
+                                r.procs_used
+                            )
+                        })
+                    })
+                    .collect()
+            },
+            decodes: |v| Vec::<RunRecord>::from_value(v).is_ok(),
+            lines_of: None,
+        },
+        Journalled {
+            name: "scaling",
+            run: |journal| {
+                let cfg = ScalingConfig {
+                    task_counts: vec![20],
+                    proc_counts: vec![8],
+                    epsilons: vec![1],
+                    reps: 1,
+                    threads: 2,
+                    ..Default::default()
+                };
+                scaling_sweep_checkpointed(&cfg, journal)
+                    .unwrap()
+                    .iter()
+                    .map(|p| {
+                        let (v, m, e, a, f, r) = (p.v, p.m, p.epsilon, &p.algo, p.feasible, p.reps);
+                        format!("{a} {v} {m} {e} {f}/{r}")
+                    })
+                    .collect()
+            },
+            decodes: |v| ScalingPoint::from_value(v).is_ok(),
+            lines_of: None,
+        },
+        Journalled {
+            name: "pareto workload sweep",
+            run: |journal| {
+                let mut out = Vec::new();
+                workload_sweep(&sweep_cfg(), journal, |row| {
+                    out.push(serde_json::to_string(row).unwrap())
+                })
+                .unwrap();
+                out
+            },
+            decodes: |v| Vec::<FrontRow>::from_value(v).is_ok(),
+            lines_of: Some(seq_lines),
+        },
+        Journalled {
+            name: "pareto campaign shard",
+            run: |journal| {
+                let spec = CampaignSpec::parse(PARETO_SPEC).unwrap();
+                let mut out = Vec::new();
+                run_shard::<ItemResult>(&spec, Shard::solo(), 2, journal, |r| {
+                    out.push(serde_json::to_string(r).unwrap())
+                })
+                .unwrap();
+                out
+            },
+            decodes: |v| ItemResult::from_value(v).is_ok(),
+            lines_of: Some(one_line),
+        },
+        Journalled {
+            name: "slo campaign shard",
+            run: |journal| {
+                let spec = CampaignSpec::parse(SLO_SPEC).unwrap();
+                let mut out = Vec::new();
+                run_shard::<SloItemResult>(&spec, Shard::solo(), 2, journal, |r| {
+                    out.push(serde_json::to_string(r).unwrap())
+                })
+                .unwrap();
+                out
+            },
+            decodes: |v| SloItemResult::from_value(v).is_ok(),
+            lines_of: Some(one_line),
+        },
+    ]
+}
+
+#[test]
+fn undecodable_records_recompute_in_every_journalled_command() {
+    for d in journalled_commands() {
+        let reference = (d.run)(None);
+        let journal = tmp(&format!("bogus-{}", d.name.replace(' ', "-")));
+        assert_eq!(
+            (d.run)(Some(&journal)),
+            reference,
+            "{}: journalled run",
+            d.name
+        );
+
+        // Keep the second record's key, make its payload undecodable.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let mut lines: Vec<Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert!(lines.len() >= 3, "{}: journal too short", d.name);
+        let Value::Map(entries) = &mut lines[1] else {
+            panic!("{}: journal line is not an object", d.name);
+        };
+        let key = entries[0].1.clone();
+        let original = std::mem::replace(
+            &mut entries[1].1,
+            Value::Map(vec![("bogus".to_string(), Value::UInt(1))]),
+        );
+        let bogus: String = lines
+            .iter()
+            .map(|v| serde_json::to_string(v).unwrap() + "\n")
+            .collect();
+        std::fs::write(&journal, bogus).unwrap();
+
+        // The rerun recomputes that item and otherwise replays. Commands
+        // that assemble by key reproduce the reference exactly; streaming
+        // commands emit the recomputed item after the replayed ones.
+        let expected = match d.lines_of {
+            None => reference,
+            Some(lines_of) => {
+                let moved = lines_of(&original);
+                let mut rest = reference.clone();
+                for line in &moved {
+                    let at = rest
+                        .iter()
+                        .position(|l| l == line)
+                        .expect("line in reference");
+                    rest.remove(at);
+                }
+                rest.extend(moved);
+                rest
+            }
+        };
+        assert_eq!((d.run)(Some(&journal)), expected, "{}: rerun", d.name);
+
+        // The journal now holds a decodable record under that key,
+        // appended by the recompute.
+        let healed = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(healed.lines().count(), lines.len() + 1, "{}", d.name);
+        let decodable = healed.lines().any(|l| {
+            let v: Value = serde_json::from_str(l).unwrap();
+            let Value::Map(e) = &v else { return false };
+            e[0].1 == key && (d.decodes)(&e[1].1)
+        });
+        assert!(decodable, "{}: no decodable record for {key:?}", d.name);
+        std::fs::remove_file(&journal).unwrap();
+    }
 }

@@ -9,7 +9,8 @@ use ltf_baselines::full_solver;
 use ltf_core::shard::Shard;
 use ltf_core::AlgoConfig;
 use ltf_experiments::campaign::{
-    build_slo_report, run_slo_serial, run_slo_shard, CampaignSpec, Merger, SloItemResult,
+    build_slo_report, run_serial, run_shard, run_slo_serial, CampaignSpec, ItemResult, Merger,
+    SloItemResult,
 };
 use ltf_experiments::pareto::ParetoInstance;
 use ltf_faultlab::{replay, FailureModel, ReplayConfig, SimEngine};
@@ -55,7 +56,7 @@ fn report_is_byte_identical_across_threads_and_shards() {
         let mut merger: Merger<SloItemResult> = Merger::new(expected);
         for k in 0..n {
             let shard = Shard::new(k, n).unwrap();
-            run_slo_shard(&spec, shard, 1, None, |r| {
+            run_shard::<SloItemResult>(&spec, shard, 1, None, |r| {
                 merger.insert(r.clone()).unwrap();
             })
             .unwrap();
@@ -67,6 +68,21 @@ fn report_is_byte_identical_across_threads_and_shards() {
             "{n}-way sharding leaked into the report"
         );
     }
+}
+
+#[test]
+fn running_a_spec_as_the_wrong_kind_is_an_error() {
+    let slo = CampaignSpec::parse(SPEC).unwrap();
+    let pareto = CampaignSpec::parse(
+        r#"{"name":"p","graphs":["fig1"],"heuristics":["rltf"],"epsilons":[{"max":1}]}"#,
+    )
+    .unwrap();
+    let err = run_shard::<ItemResult>(&slo, Shard::solo(), 1, None, |_| {}).unwrap_err();
+    assert!(err.contains("failure"), "{err}");
+    assert!(run_serial(&slo, 1, None).is_err());
+    let err = run_shard::<SloItemResult>(&pareto, Shard::solo(), 1, None, |_| {}).unwrap_err();
+    assert!(err.contains("no \"failure\" block"), "{err}");
+    assert!(run_slo_serial(&pareto, 1, None).is_err());
 }
 
 /// One solved fig1 witness plus a bundle of sampled traces replayed

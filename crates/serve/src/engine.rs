@@ -389,18 +389,9 @@ impl Service {
         };
         let threads = resolve_threads(self.config.threads);
         let mut results = Vec::new();
-        // SLO campaigns (specs with a `failure` block) shard trace
-        // blocks; plain campaigns shard front enumerations. Either way
-        // the reply carries the results as a JSON array.
-        let run = if req.spec.failure.is_some() {
-            ltf_experiments::campaign::run_slo_shard(&req.spec, shard, threads, None, |r| {
-                results.push(r.to_value())
-            })
-        } else {
-            ltf_experiments::campaign::run_shard(&req.spec, shard, threads, None, |r| {
-                results.push(r.to_value())
-            })
-        };
+        let run = ltf_experiments::campaign::run_spec_shard(&req.spec, shard, threads, None, |r| {
+            results.push(r)
+        });
         match run {
             Ok(items) => reply(vec![
                 ("ok", Value::Bool(true)),

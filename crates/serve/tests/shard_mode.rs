@@ -6,9 +6,7 @@
 //! service.
 
 use ltf_core::shard::Shard;
-use ltf_experiments::campaign::{
-    run_shard, run_slo_shard, CampaignSpec, ItemResult, SloItemResult,
-};
+use ltf_experiments::campaign::{run_shard, CampaignSpec, ItemResult, SloItemResult};
 use ltf_serve::{Service, ServiceConfig};
 use serde::{Deserialize, Value};
 
@@ -63,7 +61,7 @@ fn shard_reply_matches_in_process_run() {
     let spec = CampaignSpec::parse(SPEC).unwrap();
     let shard: Shard = "1/2".parse().unwrap();
     let mut want = Vec::new();
-    run_shard(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
+    run_shard::<ItemResult>(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
     assert_eq!(got, want, "wire results differ from in-process run_shard");
     assert_eq!(field(&v, "items"), Some(&Value::UInt(want.len() as u64)));
 }
@@ -94,10 +92,10 @@ fn slo_shard_reply_matches_in_process_run() {
     let spec = CampaignSpec::parse(SLO_SPEC).unwrap();
     let shard: Shard = "0/2".parse().unwrap();
     let mut want = Vec::new();
-    run_slo_shard(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
+    run_shard::<SloItemResult>(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
     assert_eq!(
         got, want,
-        "wire results differ from in-process run_slo_shard"
+        "wire results differ from in-process run_shard::<SloItemResult>"
     );
     assert_eq!(field(&v, "items"), Some(&Value::UInt(want.len() as u64)));
 }
